@@ -7,7 +7,7 @@
      lbsa check candidate --name flp-write-read
      lbsa solve dac -n 3 --deadline 60 --checkpoint dac3.ckpt
      lbsa solve dac -n 3 --resume dac3.ckpt
-     lbsa valence --protocol cons:2
+     lbsa valence --protocol cons -m 2
      lbsa power -n 2 --max-k 3
      lbsa separation -n 2 --max-k 3
      lbsa lin-check --impl snapshot:3 --trials 200
@@ -95,11 +95,57 @@ let check_domains_arg =
            explorer; 1 is fully sequential.  The verdict — including which \
            failing vector is reported — never depends on this.")
 
-(* With a fanned sweep (D > 1) each vector's exploration is pinned to one
-   domain to avoid oversubscription; with D unset the explorer keeps its
-   auto parallelism. *)
-let sweep_plan d =
-  if d <= 0 then (1, None) else (d, Some 1)
+let explorer_domains_arg =
+  Arg.(
+    value
+    & opt int 0
+    & info [ "domains" ] ~docv:"D"
+        ~doc:
+          "Explorer worker domains (0 = auto).  The graph and the verdict \
+           never depend on this.")
+
+let explorer_domains d = if d <= 0 then None else Some d
+
+let inputs_arg =
+  Arg.(
+    value
+    & opt (some (list ~sep:',' int)) None
+    & info [ "inputs" ] ~docv:"I1,I2,..."
+        ~doc:
+          "Full input vector, one integer per process.  Defaults to the \
+           task's canonical vector.")
+
+let values l = Array.of_list (List.map Value.int l)
+
+let question_arg =
+  Arg.(
+    value
+    & opt
+        (enum
+           [ ("solve", Serve_api.Solve); ("valence", Serve_api.Valence);
+             ("live", Serve_api.Live) ])
+        Serve_api.Solve
+    & info [ "question" ] ~docv:"Q"
+        ~doc:
+          "solve (solvability verdict), valence (graph summary), or live \
+           (fair-cycle liveness verdict with a shrunk lasso witness).  \
+           Distinct questions have distinct cache keys.")
+
+(* The TASK positional of check and solve, with its size flags. *)
+let task_of_flags kind ~n ~m ~k ~name =
+  match kind with
+  | `Dac -> Serve_api.Dac { n }
+  | `Consensus -> Serve_api.Consensus { m }
+  | `Kset -> Serve_api.Kset { m; k }
+  | `Candidate -> Serve_api.Candidate { name }
+  | `Vc -> Serve_api.Vc { n }
+  | `Bcast -> Serve_api.Bcast { n }
+
+let task_pos kinds ~doc =
+  Arg.(required & pos 0 (some (enum kinds)) None & info [] ~docv:"TASK" ~doc)
+
+let parse_task s = Result.map_error (fun m -> `Msg m) (Serve_api.task_of_string s)
+let pp_task ppf t = Fmt.string ppf (Serve_api.task_label t)
 
 (* --- out-of-core exploration ------------------------------------------ *)
 
@@ -166,26 +212,6 @@ let reduce_arg =
            state counts, node ids and failure details are not.  See \
            DESIGN.md, 'State-space reduction'.")
 
-let reduce_mode_name = function
-  | `None -> "none"
-  | `Sym -> "sym"
-  | `Sym_sleep -> "sym+sleep"
-
-(* The Graph.reduction for a requested mode.  [canon] is the certified
-   symmetry group of the protocol being checked — identity when none is
-   certified, in which case the mode still applies the sleep layer and
-   keeps its requested name so labels and checkpoints stay consistent. *)
-let mk_reduce ?frozen ~canon mode =
-  match mode with
-  | `None -> Cgraph.no_reduction
-  | `Sym -> { Cgraph.rname = "sym"; canon; sleep = false; frozen = None }
-  | `Sym_sleep -> { Cgraph.rname = "sym+sleep"; canon; sleep = true; frozen }
-
-(* dac's PAC object (index 0) is permanently inert once upset: its state
-   never changes again and every propose gets the same abort response —
-   exactly the certification the sleep layer's [frozen] hook wants. *)
-let dac_frozen obj st = obj = 0 && Pac.is_upset st
-
 (* --- execution substrate ----------------------------------------------- *)
 
 let substrate_arg =
@@ -214,40 +240,6 @@ let live_arg =
            lasso witness (prefix + cycle, as execution traces) when one \
            exists.  Exit 0 = live, 1 = livelock, 2 = partial (truncated \
            graph, so a Live answer is not definitive).")
-
-(* Liveness questions and message-passing tasks are answered locally
-   through the serve compute path: one code path for `check --live`, the
-   vc/bcast tasks and the daemon, so CLI answers and cached daemon
-   answers can never diverge. *)
-let local_verify ~err_tag ~budget ~task ~question ~max_states ~rmode
-    ~substrate =
-  let substrate =
-    match substrate with
-    | Some s -> s
-    | None -> Serve_api.default_substrate task
-  in
-  let q =
-    Serve_api.Verify
-      {
-        task;
-        question;
-        inputs = Serve_api.default_inputs task;
-        max_states;
-        reduce = rmode;
-        substrate;
-      }
-  in
-  match Serve_api.compute ~budget q with
-  | { Serve_api.res; _ } ->
-    Fmt.pr "%s@." (Serve_api.render res);
-    (match res with
-    | Serve_api.Liveness_report { Serve_api.lv_witness = Some w; _ } ->
-      Fmt.pr "%s@." w
-    | _ -> ());
-    Serve_api.exit_code res
-  | exception Invalid_argument msg ->
-    Fmt.epr "%s: %s@." err_tag msg;
-    3
 
 (* --- supervision plumbing --------------------------------------------- *)
 
@@ -362,67 +354,11 @@ let run_dac_cmd =
 
 (* --- check ------------------------------------------------------------- *)
 
-let report ?(stats = false) ?family verdict =
-  Fmt.pr "%a@." Solvability.pp_verdict verdict;
-  (if stats then begin
-     (match verdict.Solvability.stats with
-     | Some s -> Fmt.pr "%a@." Cgraph.pp_stats s
-     | None -> Fmt.pr "(no exploration statistics recorded)@.");
-     match family with
-     | Some fs -> Fmt.pr "%a@." Solvability.pp_family_stats fs
-     | None -> ()
-   end);
-  Supervisor.exit_code ~ok:verdict.Solvability.ok verdict.Solvability.outcome
-
-let check_dac n max_states stats d rmode shards ~budget =
-  let machine = Dac_from_pac.machine ~n in
-  let specs = Dac_from_pac.specs ~n in
-  let reduce = mk_reduce ~frozen:dac_frozen ~canon:(Canon.dac ~n) rmode in
-  let sweep, inner = sweep_plan d in
-  let verdict, family =
-    Solvability.for_all_inputs_timed ~domains:sweep ~budget
-      (fun inputs ->
-        Solvability.check_dac ~max_states ?domains:inner ~budget ~reduce
-          ~shards ~machine ~specs ~inputs ())
-      (Dac.binary_inputs n)
-  in
-  report ~stats ~family verdict
-
-let check_consensus m max_states stats d rmode shards ~budget =
-  let machine, specs = Consensus_protocols.from_consensus_obj ~m in
-  let reduce = mk_reduce ~canon:(Canon.exchangeable ~n:m ()) rmode in
-  let sweep, inner = sweep_plan d in
-  let verdict, family =
-    Solvability.for_all_inputs_timed ~domains:sweep ~budget
-      (fun inputs ->
-        Solvability.check_consensus ~max_states ?domains:inner ~budget ~reduce
-          ~shards ~machine ~specs ~inputs ())
-      (Consensus_task.binary_inputs m)
-  in
-  report ~stats ~family verdict
-
-let check_kset m k max_states stats d rmode shards ~budget =
-  let machine, specs = Kset_protocols.partition ~m ~k in
-  let reduce = mk_reduce ~canon:(Canon.kset_partition ~m ~k) rmode in
-  (* A single input vector: [--domains] drives the explorer itself. *)
-  let domains = if d <= 0 then None else Some d in
-  report ~stats
-    (Solvability.check_kset ~max_states ?domains ~budget ~reduce ~shards
-       ~machine ~specs ~k
-       ~inputs:(Kset_task.distinct_inputs (m * k))
-       ())
-
-let candidates =
-  [
-    ("flp-write-read", `Consensus (Candidates.flp_write_read, 2));
-    ("flp-spin", `Consensus (Candidates.flp_spin, 2));
-    ("3dac-sa2-then-cons2", `Dac (Candidates.dac3_sa2_then_cons2, 3));
-    ("3dac-cons2-announce", `Dac (Candidates.dac3_cons2_announce, 3));
-    ( "3cons-from-22pac",
-      `Consensus (Candidates.consensus_m1_from_pac_nm ~n:2 ~m:2, 3) );
-    ( "pac-retry",
-      `Consensus (Candidates.consensus_from_pac_retry ~n:2 ~procs:2, 2) );
-  ]
+let print_stats verdict family =
+  (match verdict.Solvability.stats with
+  | Some s -> Fmt.pr "%a@." Cgraph.pp_stats s
+  | None -> Fmt.pr "(no exploration statistics recorded)@.");
+  Option.iter (Fmt.pr "%a@." Solvability.pp_family_stats) family
 
 (* A witness search answers one of three things; only an exhaustive miss
    may be printed as a liveness-only failure — a truncated search saying
@@ -437,104 +373,60 @@ let report_witness = function
        explored prefix; raise --max-states for a definitive witness)@."
       Supervisor.pp_outcome o
 
-let check_candidate name max_states d rmode =
-  let sweep, inner = sweep_plan d in
-  (* No certified symmetry group for free-form candidates: [sym] is the
-     identity quotient here, but [sym+sleep] still prunes commit steps. *)
-  let reduce = mk_reduce ~canon:Canon.identity rmode in
-  match List.assoc_opt name candidates with
-  | None ->
-    Fmt.epr "unknown candidate %S; known: %s@." name
-      (String.concat ", " (List.map fst candidates));
+(* Every check is one [Serve_api.check] call, printed the way `lbsa
+   query` prints the same answer.  A candidate is expected to fail its
+   task, so its exit code reads 0 = failed as expected, 1 = unexpectedly
+   passed, 2 = partial; a definitive failure also gets a witness. *)
+let check kind n m k name max_states stats domains rmode shards deadline chaos
+    substrate live =
+  let budget = mk_budget ?deadline ~chaos () in
+  let task = task_of_flags kind ~n ~m ~k ~name in
+  let question = if live then Serve_api.Live else Serve_api.Solve in
+  match
+    Serve_api.check ~budget ~domains ~shards ~question ~max_states
+      ~reduce:rmode ?substrate task
+  with
+  | exception Invalid_argument msg ->
+    Fmt.epr "lbsa check: %s@." msg;
     3
-  | Some (`Consensus ((machine, specs), procs)) ->
-    Fmt.pr "candidate %s (consensus among %d) — expected to FAIL:@." name procs;
-    let v =
-      Solvability.for_all_inputs ~domains:sweep
-        (fun inputs ->
-          Solvability.check_consensus ~max_states ?domains:inner ~reduce
-            ~machine ~specs ~inputs ())
-        (Consensus_task.binary_inputs procs)
-    in
-    Fmt.pr "%a@." Solvability.pp_verdict v;
-    (if not v.Solvability.ok then
-       report_witness
-         (Solvability.consensus_witness ~max_states ~machine ~specs
-            ~inputs:v.Solvability.inputs ()));
-    if v.Solvability.ok then 1 else 0
-  | Some (`Dac ((machine, specs), procs)) ->
-    Fmt.pr "candidate %s (%d-DAC) — expected to FAIL:@." name procs;
-    let v =
-      Solvability.for_all_inputs ~domains:sweep
-        (fun inputs ->
-          Solvability.check_dac ~max_states ?domains:inner ~reduce ~machine
-            ~specs ~inputs ())
-        (Dac.binary_inputs procs)
-    in
-    Fmt.pr "%a@." Solvability.pp_verdict v;
-    (if not v.Solvability.ok then
-       report_witness
-         (Solvability.dac_witness ~max_states ~machine ~specs
-            ~inputs:v.Solvability.inputs ()));
-    if v.Solvability.ok then 1 else 0
+  | { Serve_api.answer; instance = inst; verdict; family } ->
+    let candidate = kind = `Candidate && not live in
+    if candidate then
+      Fmt.pr "candidate %s (%s) — expected to FAIL:@." name
+        (match inst.Serve_api.flavor with
+        | Serve_api.Check_dac -> Fmt.str "%d-DAC" inst.Serve_api.procs
+        | _ -> Fmt.str "consensus among %d" inst.Serve_api.procs);
+    Fmt.pr "%s@." (Serve_api.render answer);
+    (match (answer, verdict) with
+    | Serve_api.Liveness_report { Serve_api.lv_witness = Some w; _ }, _ ->
+      Fmt.pr "%s@." w
+    | Serve_api.Verdict { Serve_api.v_ok = false; v_partial = false; _ }, Some v
+      when candidate ->
+      report_witness
+        (Serve_api.witness inst ~max_states ~inputs:v.Solvability.inputs)
+    | _ -> ());
+    if stats then Option.iter (fun v -> print_stats v family) verdict;
+    let code = Serve_api.exit_code answer in
+    if candidate then match code with 0 -> 1 | 1 -> 0 | c -> c else code
 
 let check_cmd =
   let task =
-    Arg.(
-      required
-      & pos 0 (some (enum
-                       [ ("dac", `Dac); ("consensus", `Consensus);
-                         ("kset", `Kset); ("candidate", `Candidate);
-                         ("vc", `Vc); ("bcast", `Bcast) ])) None
-      & info [] ~docv:"TASK"
-          ~doc:
-            "dac | consensus | kset | candidate | vc | bcast.  vc and \
-             bcast are message-passing protocols (substrate mp): vc is a \
-             view change with a split-vote livelock, bcast its live \
-             control.")
+    task_pos
+      [ ("dac", `Dac); ("consensus", `Consensus); ("kset", `Kset);
+        ("candidate", `Candidate); ("vc", `Vc); ("bcast", `Bcast) ]
+      ~doc:
+        "dac | consensus | kset | candidate | vc | bcast.  vc and bcast are \
+         message-passing protocols (substrate mp): vc is a view change with \
+         a split-vote livelock, bcast its live control."
   in
   let cand_name =
     Arg.(
       value
       & opt string "flp-write-read"
-      & info [ "name" ] ~docv:"NAME" ~doc:"Candidate name (for candidate).")
-  in
-  let run task n m k name max_states stats domains rmode shards deadline chaos
-      substrate live =
-    let budget = mk_budget ?deadline ~chaos () in
-    let api_task =
-      match task with
-      | `Dac -> Serve_api.Dac { n }
-      | `Consensus -> Serve_api.Consensus { m }
-      | `Kset -> Serve_api.Kset { m; k }
-      | `Candidate -> Serve_api.Candidate { name }
-      | `Vc -> Serve_api.Vc { n }
-      | `Bcast -> Serve_api.Bcast { n }
-    in
-    let mp = match task with `Vc | `Bcast -> true | _ -> false in
-    if live || mp then
-      (* mp tasks without --live get the solvability question on the mp
-         substrate (agreement/validity/wait-freedom); --live asks for a
-         fair cycle instead, on any task. *)
-      local_verify ~err_tag:"lbsa check" ~budget ~task:api_task
-        ~question:(if live then Serve_api.Live else Serve_api.Solve)
-        ~max_states ~rmode ~substrate
-    else
-      match substrate with
-      | Some s when s <> "shm" ->
-        Fmt.epr
-          "lbsa check: task %s is shared-memory; --substrate %s needs a \
-           message-passing task (vc, bcast)@."
-          (Serve_api.task_label api_task) s;
-        3
-      | _ -> (
-        match task with
-        | `Dac -> check_dac n max_states stats domains rmode shards ~budget
-        | `Consensus ->
-          check_consensus m max_states stats domains rmode shards ~budget
-        | `Kset -> check_kset m k max_states stats domains rmode shards ~budget
-        | `Candidate -> check_candidate name max_states domains rmode
-        | `Vc | `Bcast -> assert false)
+      & info [ "name" ] ~docv:"NAME"
+          ~doc:
+            (Fmt.str "Candidate name (for candidate): %s."
+               (String.concat ", " Serve_api.candidate_names)))
   in
   Cmd.v
     (Cmd.info "check"
@@ -543,7 +435,7 @@ let check_cmd =
           nondeterminism); with --live, check liveness (fair-cycle \
           search) instead.")
     Term.(
-      const run $ task $ n_arg $ m_arg $ k_arg $ cand_name $ max_states_arg
+      const check $ task $ n_arg $ m_arg $ k_arg $ cand_name $ max_states_arg
       $ stats_arg $ check_domains_arg $ reduce_arg $ shards_arg $ deadline_arg
       $ chaos_arg $ substrate_arg $ live_arg)
 
@@ -555,160 +447,90 @@ let check_cmd =
    stdout carries only the verdict (checkpoint notes go to stderr), so
    an interrupted-then-resumed run prints byte-for-byte what the
    uninterrupted run prints. *)
-let solve task n m k max_states stats rmode d shards spill_dir spill_threshold
-    deadline chaos io_chaos ckpt_file resume_file inputs_csv =
+let solve kind n m k max_states stats rmode d shards spill_dir spill_threshold
+    deadline chaos io_chaos ckpt_file resume_file inputs =
   arm_io_chaos io_chaos;
   let budget = mk_budget ?deadline ~chaos () in
-  let domains = if d <= 0 then None else Some d in
   let spill = mk_spill spill_dir spill_threshold in
-  let custom =
-    match inputs_csv with
-    | None -> Ok None
-    | Some s -> (
-      match
-        List.map
-          (fun x -> Value.int (int_of_string (String.trim x)))
-          (String.split_on_char ',' s)
-      with
-      | vs -> Ok (Some (Array.of_list vs))
-      | exception Failure _ ->
-        Error (Fmt.str "--inputs %S is not a comma-separated integer list" s))
+  let task = task_of_flags kind ~n ~m ~k ~name:"" in
+  let inst = Serve_api.instance task in
+  let inputs =
+    values (Option.value inputs ~default:(Serve_api.default_inputs task))
   in
-  match custom with
-  | Error msg ->
-    Fmt.epr "%s@." msg;
+  (* The label pins exactly what defines the graph — task, sizes,
+     inputs, reduction mode.  Budget-side knobs (max_states, deadline,
+     domains) stay out: a frozen prefix is valid under any of them, and
+     resuming a quota-hit run with a larger quota is the point.  A
+     mismatch is a graph-shape divergence, not a usage typo, so it
+     rejects with the partial-outcome exit code 2: the checkpointed
+     work is intact and resumable under the original parameters. *)
+  let name =
+    match task with
+    | Serve_api.Dac { n } -> Fmt.str "dac n=%d" n
+    | Serve_api.Consensus { m } -> Fmt.str "consensus m=%d" m
+    | Serve_api.Kset { m; k } -> Fmt.str "kset m=%d k=%d" m k
+    | t -> Serve_api.task_label t
+  in
+  let label =
+    Fmt.str "solve %s inputs=%a reduce=%s" name
+      Fmt.(array ~sep:(any ",") Value.pp)
+      inputs (Serve_api.reduce_name rmode)
+  in
+  match Option.map (fun file -> Checkpoint.load ~file) resume_file with
+  | exception Checkpoint.Version_mismatch msg ->
+    (* Old-version checkpoints exit like a parameter mismatch (2): the
+       file is coherent, this build just refuses to read it. *)
+    Fmt.epr "cannot resume: %s@." msg;
+    2
+  | exception Checkpoint.Corrupt msg ->
+    (* The file is a current-version checkpoint with a damaged body (a
+       torn write this format is designed to make impossible, bit rot,
+       or an injected fault).  Refuse like a partial outcome: the
+       exploration is resumable only by re-running it. *)
+    Fmt.epr "cannot resume: corrupt checkpoint: %s@." msg;
+    2
+  | exception Failure msg ->
+    Fmt.epr "cannot resume: %s@." msg;
     3
-  | Ok custom ->
-    let name, inputs, check =
-      match task with
-      | `Consensus ->
-        let machine, specs = Consensus_protocols.from_consensus_obj ~m in
-        let reduce = mk_reduce ~canon:(Canon.exchangeable ~n:m ()) rmode in
-        let inputs =
-          match custom with
-          | Some v -> v
-          | None -> Array.init m (fun pid -> Value.int (pid mod 2))
-        in
-        ( Fmt.str "consensus m=%d" m,
-          inputs,
-          fun resume ->
-            Solvability.check_consensus ~max_states ?domains ~budget ~reduce
-              ?resume ~shards ?spill ~machine ~specs ~inputs () )
-      | `Kset ->
-        let machine, specs = Kset_protocols.partition ~m ~k in
-        let reduce = mk_reduce ~canon:(Canon.kset_partition ~m ~k) rmode in
-        let inputs =
-          match custom with
-          | Some v -> v
-          | None -> Kset_task.distinct_inputs (m * k)
-        in
-        ( Fmt.str "kset m=%d k=%d" m k,
-          inputs,
-          fun resume ->
-            Solvability.check_kset ~max_states ?domains ~budget ~reduce
-              ?resume ~shards ?spill ~machine ~specs ~k ~inputs () )
-      | `Dac ->
-        let machine = Dac_from_pac.machine ~n in
-        let specs = Dac_from_pac.specs ~n in
-        let reduce =
-          mk_reduce ~frozen:dac_frozen ~canon:(Canon.dac ~n) rmode
-        in
-        let inputs =
-          match custom with
-          | Some v -> v
-          | None ->
-            Array.init n (fun pid -> Value.int (if pid = 0 then 1 else 0))
-        in
-        ( Fmt.str "dac n=%d" n,
-          inputs,
-          fun resume ->
-            Solvability.check_dac ~max_states ?domains ~budget ~reduce
-              ?resume ~shards ?spill ~machine ~specs ~inputs () )
+  | Some c when Checkpoint.substrate c <> "shm" ->
+    (* solve runs shared-memory tasks only; a checkpoint frozen under
+       another substrate is a different graph.  Refused like any other
+       graph-shape divergence: exit 2, the file stays resumable under
+       its original parameters. *)
+    Fmt.epr
+      "cannot resume: checkpoint was explored under substrate %S, this \
+       command explores under \"shm\"@."
+      (Checkpoint.substrate c);
+    2
+  | Some c when Checkpoint.label c <> label ->
+    Fmt.epr
+      "cannot resume: checkpoint is for %S, this invocation is %S; rerun \
+       with the original parameters (or drop --resume)@."
+      (Checkpoint.label c) label;
+    2
+  | resume ->
+    let v =
+      Serve_api.solvability inst ~max_states ?domains:(explorer_domains d)
+        ~budget ~reduce:(Serve_api.reduction_for inst rmode)
+        ?resume:(Option.map Checkpoint.thaw resume) ~shards ?spill ~inputs ()
     in
-    (* The label pins exactly what defines the graph — task, sizes,
-       inputs, reduction mode.  Budget-side knobs (max_states, deadline,
-       domains) stay out: a frozen prefix is valid under any of them, and
-       resuming a quota-hit run with a larger quota is the point.  A
-       mismatch is a graph-shape divergence, not a usage typo, so it
-       rejects with the partial-outcome exit code 2: the checkpointed
-       work is intact and resumable under the original parameters. *)
-    let label =
-      Fmt.str "solve %s inputs=%a reduce=%s" name
-        Fmt.(array ~sep:(any ",") Value.pp)
-        inputs (reduce_mode_name rmode)
-    in
-    (match Option.map (fun file -> Checkpoint.load ~file) resume_file with
-    | exception Checkpoint.Version_mismatch msg ->
-      (* Old-version checkpoints exit like a parameter mismatch (2): the
-         file is coherent, this build just refuses to read it. *)
-      Fmt.epr "cannot resume: %s@." msg;
-      2
-    | exception Checkpoint.Corrupt msg ->
-      (* The file is a current-version checkpoint with a damaged body (a
-         torn write this format is designed to make impossible, bit rot,
-         or an injected fault).  Refuse like a partial outcome: the
-         exploration is resumable only by re-running it. *)
-      Fmt.epr "cannot resume: corrupt checkpoint: %s@." msg;
-      2
-    | exception Failure msg ->
-      Fmt.epr "cannot resume: %s@." msg;
-      3
-    | Some c when Checkpoint.substrate c <> "shm" ->
-      (* solve runs shared-memory tasks only; a checkpoint frozen under
-         another substrate is a different graph.  Refused like any other
-         graph-shape divergence: exit 2, the file stays resumable under
-         its original parameters. *)
-      Fmt.epr
-        "cannot resume: checkpoint was explored under substrate %S, this \
-         command explores under \"shm\"@."
-        (Checkpoint.substrate c);
-      2
-    | Some c when Checkpoint.label c <> label ->
-      Fmt.epr
-        "cannot resume: checkpoint is for %S, this invocation is %S; rerun \
-         with the original parameters (or drop --resume)@."
-        (Checkpoint.label c) label;
-      2
-    | resume ->
-      let v = check (Option.map Checkpoint.thaw resume) in
-      (match (ckpt_file, v.Solvability.suspended) with
-      | Some file, Some s when Supervisor.is_partial v.Solvability.outcome ->
-        Checkpoint.save ~file (Checkpoint.freeze ~label s);
-        Fmt.epr "checkpoint written to %s (resume with --resume %s)@." file
-          file
-      | _ -> ());
-      clean_spill_on_done spill
-        ~done_:(v.Solvability.outcome = Supervisor.Done);
-      report ~stats v)
+    (match (ckpt_file, v.Solvability.suspended) with
+    | Some file, Some s when Supervisor.is_partial v.Solvability.outcome ->
+      Checkpoint.save ~file (Checkpoint.freeze ~label s);
+      Fmt.epr "checkpoint written to %s (resume with --resume %s)@." file
+        file
+    | _ -> ());
+    clean_spill_on_done spill
+      ~done_:(v.Solvability.outcome = Supervisor.Done);
+    Fmt.pr "%a@." Solvability.pp_verdict v;
+    if stats then print_stats v None;
+    Supervisor.exit_code ~ok:v.Solvability.ok v.Solvability.outcome
 
 let solve_cmd =
   let task =
-    Arg.(
-      required
-      & pos 0
-          (some
-             (enum
-                [ ("dac", `Dac); ("consensus", `Consensus); ("kset", `Kset) ]))
-          None
-      & info [] ~docv:"TASK" ~doc:"dac | consensus | kset.")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "domains" ] ~docv:"D"
-          ~doc:
-            "Explorer worker domains (0 = auto).  The verdict never depends \
-             on this.")
-  in
-  let inputs =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "inputs" ] ~docv:"CSV"
-          ~doc:
-            "Comma-separated integer input vector (default: a canonical \
-             vector per task).")
+    task_pos
+      [ ("dac", `Dac); ("consensus", `Consensus); ("kset", `Kset) ]
+      ~doc:"dac | consensus | kset."
   in
   Cmd.v
     (Cmd.info "solve"
@@ -719,50 +541,35 @@ let solve_cmd =
           continues it to the same verdict an uninterrupted run prints.")
     Term.(
       const solve $ task $ n_arg $ m_arg $ k_arg $ max_states_arg $ stats_arg
-      $ reduce_arg $ domains $ shards_arg $ spill_dir_arg
+      $ reduce_arg $ explorer_domains_arg $ shards_arg $ spill_dir_arg
       $ spill_threshold_arg $ deadline_arg $ chaos_arg $ io_chaos_arg
-      $ checkpoint_arg $ resume_arg $ inputs)
+      $ checkpoint_arg $ resume_arg $ inputs_arg)
 
 (* --- valence ------------------------------------------------------------ *)
 
-let protocols_by_name ~n ~m =
-  [
-    ("cons", Consensus_protocols.from_consensus_obj ~m);
-    ("flp-write-read", Candidates.flp_write_read);
-    ("flp-spin", Candidates.flp_spin);
-    ("pac-retry", Candidates.consensus_from_pac_retry ~n ~procs:2);
-    ( "dac",
-      (Dac_from_pac.machine ~n, Dac_from_pac.specs ~n) );
-  ]
-
+(* The consensus and dac protocols, or any candidate. *)
 let valence name n m max_states stats rmode shards spill_dir spill_threshold =
   let spill = mk_spill spill_dir spill_threshold in
-  match List.assoc_opt name (protocols_by_name ~n ~m) with
+  let task =
+    match name with
+    | "cons" -> Some (Serve_api.Consensus { m })
+    | "dac" -> Some (Serve_api.Dac { n })
+    | name when List.mem name Serve_api.candidate_names ->
+      Some (Serve_api.Candidate { name })
+    | _ -> None
+  in
+  match task with
   | None ->
     Fmt.epr "unknown protocol %S; known: %s@." name
-      (String.concat ", " (List.map fst (protocols_by_name ~n ~m)));
+      (String.concat ", " ("cons" :: "dac" :: Serve_api.candidate_names));
     3
-  | Some (machine, specs) ->
-    let procs =
-      match name with
-      | "cons" -> m
-      | "dac" -> n
-      | _ -> 2
-    in
-    let inputs =
-      if name = "dac" then
-        Array.init procs (fun pid -> Value.int (if pid = 0 then 1 else 0))
-      else Array.init procs (fun pid -> Value.int (pid mod 2))
-    in
-    let reduce =
-      match name with
-      | "dac" -> mk_reduce ~frozen:dac_frozen ~canon:(Canon.dac ~n) rmode
-      | "cons" -> mk_reduce ~canon:(Canon.exchangeable ~n:m ()) rmode
-      | _ -> mk_reduce ~canon:Canon.identity rmode
-    in
+  | Some task ->
+    let inst = Serve_api.instance task in
+    let machine = inst.Serve_api.machine and specs = inst.Serve_api.specs in
+    let inputs = values (Serve_api.default_inputs task) in
     let graph =
-      Cgraph.build ~max_states ~reduce ~shards ?spill ~machine ~specs ~inputs
-        ()
+      Cgraph.build ~max_states ~reduce:(Serve_api.reduction_for inst rmode)
+        ~shards ?spill ~machine ~specs ~inputs ()
     in
     if stats then Fmt.pr "%a@." Cgraph.pp_stats (Cgraph.stats graph);
     let a = Valence.analyze graph in
@@ -797,7 +604,9 @@ let valence_cmd =
       value
       & opt string "cons"
       & info [ "protocol" ] ~docv:"NAME"
-          ~doc:"cons | flp-write-read | flp-spin | pac-retry | dac.")
+          ~doc:
+            (Fmt.str "cons | dac | a candidate (%s)."
+               (String.concat ", " Serve_api.candidate_names)))
   in
   Cmd.v
     (Cmd.info "valence"
@@ -819,31 +628,16 @@ let valence_cmd =
 
 let explore_task_conv =
   let parse s =
-    let int_ge lo v k =
-      match int_of_string_opt v with
-      | Some v when v >= lo -> Ok (k v)
-      | _ -> Error (`Msg (Fmt.str "%S: expected an integer >= %d" s lo))
-    in
     match String.split_on_char ':' s with
-    | [ "dac"; n ] -> int_ge 2 n (fun n -> `Dac n)
-    | [ "cons"; m ] -> int_ge 1 m (fun m -> `Cons m)
-    | [ "kset"; m; k ] ->
-      Result.bind (int_ge 1 m Fun.id) (fun m ->
-          int_ge 1 k (fun k -> `Kset (m, k)))
-    | [ "of"; n; r ] ->
-      Result.bind (int_ge 2 n Fun.id) (fun n ->
-          int_ge 1 r (fun r -> `Of (n, r)))
-    | _ ->
-      Error
-        (`Msg
-           "task is dac:<n> | cons:<m> | kset:<m>:<k> | of:<n>:<rounds> \
-            (obstruction-free consensus, <rounds> commit-adopt rounds)")
+    | [ "of"; n; r ] -> (
+      match (int_of_string_opt n, int_of_string_opt r) with
+      | Some n, Some r when n >= 2 && r >= 1 -> Ok (`Of (n, r))
+      | _ -> Error (`Msg (Fmt.str "%S: of:<n>:<rounds> needs n >= 2, rounds >= 1" s)))
+    | _ -> Result.map (fun t -> `Task t) (parse_task s)
   in
   let print ppf = function
-    | `Dac n -> Fmt.pf ppf "dac:%d" n
-    | `Cons m -> Fmt.pf ppf "cons:%d" m
-    | `Kset (m, k) -> Fmt.pf ppf "kset:%d:%d" m k
     | `Of (n, r) -> Fmt.pf ppf "of:%d:%d" n r
+    | `Task t -> pp_task ppf t
   in
   Arg.conv (parse, print)
 
@@ -868,64 +662,51 @@ let peak_rss_kb () =
         in
         go ())
 
-(* The same structural fold as `lbsa fingerprint`, over any graph:
-   per-node [Config.hash] in id order, then each node's (pid, target)
-   out-steps.  Intern ids never enter, so the value is identical across
-   processes, shard counts, domain counts and spill settings. *)
-let graph_fingerprint graph =
+(* The structural fold behind both graph fingerprints (explore's and
+   `lbsa fingerprint`'s): per-node [Config.hash] in id order, then each
+   node's (pid, target) out-steps.  Intern ids never enter, so the value
+   is identical across processes, shard counts, domain counts and spill
+   settings. *)
+let hash_step h k = Value.hash_combine h k land max_int
+
+let graph_hash graph =
   let h = ref 0x811c9dc5 in
-  let comb k = h := Value.hash_combine !h k land max_int in
   for id = 0 to Cgraph.n_nodes graph - 1 do
-    comb (Config.hash (Cgraph.node graph id));
+    h := hash_step !h (Config.hash (Cgraph.node graph id));
     Cgraph.iter_out_steps graph id (fun pid target ->
-        comb pid;
-        comb target)
+        h := hash_step (hash_step !h pid) target)
   done;
-  !h land 0xffffffff
+  !h
 
 let explore task max_states rmode d shards spill_dir spill_threshold deadline
     chaos want_fp want_stats =
   let budget = mk_budget ?deadline ~chaos () in
-  let domains = if d <= 0 then None else Some d in
   let spill = mk_spill spill_dir spill_threshold in
-  let label = Fmt.str "%a" (Arg.conv_printer explore_task_conv) task in
-  let machine, specs, inputs, canon, frozen =
+  let substrate, inst, inputs =
     match task with
-    | `Dac n ->
-      ( Dac_from_pac.machine ~n,
-        Dac_from_pac.specs ~n,
-        Array.init n (fun pid -> Value.int (if pid = 0 then 1 else 0)),
-        Canon.dac ~n,
-        Some dac_frozen )
-    | `Cons m ->
-      let machine, specs = Consensus_protocols.from_consensus_obj ~m in
-      ( machine,
-        specs,
-        Array.init m (fun pid -> Value.int (pid mod 2)),
-        Canon.exchangeable ~n:m (),
-        None )
-    | `Kset (m, k) ->
-      let machine, specs = Kset_protocols.partition ~m ~k in
-      ( machine,
-        specs,
-        Kset_task.distinct_inputs (m * k),
-        Canon.kset_partition ~m ~k,
-        None )
+    | `Task t ->
+      let substrate, inst = Serve_api.resolve t (Serve_api.default_substrate t) in
+      (substrate, inst, values (Serve_api.default_inputs t))
     | `Of (n, r) ->
       (* No certified symmetry group: [sym] degrades to the identity
          quotient, like free-form candidates.  [`Spin] makes spun-out
          states absorbing livelock leaves, so the bounded graph is
          finite and the exploration can actually complete. *)
-      ( Obstruction_free.machine_spin ~n ~max_rounds:r,
-        Obstruction_free.specs ~n ~max_rounds:r,
-        Array.init n (fun pid -> Value.int (pid mod 2)),
-        Canon.identity,
-        None )
+      ( Substrate.shm,
+        {
+          Serve_api.machine = Obstruction_free.machine_spin ~n ~max_rounds:r;
+          specs = Obstruction_free.specs ~n ~max_rounds:r;
+          procs = n;
+          flavor = Serve_api.Check_consensus;
+          canon = Canon.identity;
+          frozen = None;
+        },
+        values (List.init n (fun pid -> pid mod 2)) )
   in
-  let reduce = mk_reduce ?frozen ~canon rmode in
   let graph =
-    Cgraph.build ~max_states ?domains ~budget ~reduce ~shards ?spill ~machine
-      ~specs ~inputs ()
+    Cgraph.build ~max_states ?domains:(explorer_domains d) ~budget ~substrate
+      ~reduce:(Serve_api.reduction_for inst rmode) ~shards ?spill
+      ~machine:inst.Serve_api.machine ~specs:inst.Serve_api.specs ~inputs ()
   in
   let s = Cgraph.stats graph in
   let outcome =
@@ -936,10 +717,10 @@ let explore task max_states rmode d shards spill_dir spill_threshold deadline
     | Supervisor.Cancelled -> "cancelled"
     | Supervisor.Worker_failed _ -> "worker_failed"
   in
-  let fp = if want_fp then Some (graph_fingerprint graph) else None in
+  let fp = if want_fp then Some (graph_hash graph land 0xffffffff) else None in
   if want_stats then Fmt.epr "%a@." Cgraph.pp_stats s;
-  Fmt.pr "task=%s@." label;
-  Fmt.pr "reduce=%s@." (reduce_mode_name rmode);
+  Fmt.pr "task=%a@." (Arg.conv_printer explore_task_conv) task;
+  Fmt.pr "reduce=%s@." (Serve_api.reduce_name rmode);
   Fmt.pr "states=%d@." s.Cgraph.states;
   Fmt.pr "edges=%d@." s.Cgraph.edges;
   Fmt.pr "levels=%d@." s.Cgraph.levels;
@@ -969,7 +750,10 @@ let explore_cmd =
       required
       & pos 0 (some explore_task_conv) None
       & info [] ~docv:"TASK"
-          ~doc:"dac:<n> | cons:<m> | kset:<m>:<k> | of:<n>:<rounds>.")
+          ~doc:
+            "A task in query syntax (dac:<n>, cons:<m>, kset:<m>:<k>, \
+             cand:<name>, vc:<n>, bcast:<n>) or of:<n>:<rounds> \
+             (obstruction-free consensus, <rounds> commit-adopt rounds).")
   in
   let fp =
     Arg.(
@@ -979,15 +763,6 @@ let explore_cmd =
           ~doc:
             "Append the structural graph fingerprint (reads every \
              configuration; skip it for memory-bound runs).")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "domains" ] ~docv:"D"
-          ~doc:
-            "Explorer worker domains (0 = auto).  The graph never depends \
-             on this.")
   in
   Cmd.v
     (Cmd.info "explore"
@@ -999,7 +774,7 @@ let explore_cmd =
           numbers are honest.  Exit 0 on a complete graph, 2 on a \
           partial one.")
     Term.(
-      const explore $ task $ max_states_arg $ reduce_arg $ domains
+      const explore $ task $ max_states_arg $ reduce_arg $ explorer_domains_arg
       $ shards_arg $ spill_dir_arg $ spill_threshold_arg $ deadline_arg
       $ chaos_arg $ fp $ stats_arg)
 
@@ -1377,15 +1152,6 @@ let objects_cmd =
 
 (* --- fingerprint ----------------------------------------------------------- *)
 
-let inputs_arg =
-  Arg.(
-    value
-    & opt (some (list ~sep:',' int)) None
-    & info [ "inputs" ] ~docv:"I1,I2,..."
-        ~doc:
-          "Full input vector, one integer per process.  Defaults to the \
-           task's canonical vector.")
-
 (* Structural fingerprint of a fixed configuration graph, for the
    cross-process determinism regression: two runs of this command must
    print identical lines no matter how many unrelated values were
@@ -1408,10 +1174,12 @@ let fingerprint warmup n max_states mode question substrate inputs_opt =
   for i = 1 to warmup do
     ignore (Value.list [ Value.int (1_000_000 + i); Value.sym "warmup" ])
   done;
+  let task = Serve_api.Dac { n } in
+  let substrate =
+    Option.value substrate ~default:(Serve_api.default_substrate task)
+  in
   let raw_inputs =
-    match inputs_opt with
-    | Some l -> l
-    | None -> List.init n (fun pid -> if pid = 0 then 1 else 0)
+    Option.value inputs_opt ~default:(Serve_api.default_inputs task)
   in
   if List.length raw_inputs <> n then begin
     Fmt.epr "lbsa fingerprint: dac:%d expects %d inputs, got %d@." n n
@@ -1419,20 +1187,16 @@ let fingerprint warmup n max_states mode question substrate inputs_opt =
     3
   end
   else begin
-    let machine = Dac_from_pac.machine ~n in
-    let specs = Dac_from_pac.specs ~n in
-    let inputs = Array.of_list (List.map Value.int raw_inputs) in
-    let reduce = mk_reduce ~frozen:dac_frozen ~canon:(Canon.dac ~n) mode in
-    let graph = Cgraph.build ~max_states ~reduce ~machine ~specs ~inputs () in
-    let h = ref 0x811c9dc5 in
-    let comb k = h := Value.hash_combine !h k land max_int in
-    for id = 0 to Cgraph.n_nodes graph - 1 do
-      comb (Config.hash (Cgraph.node graph id));
-      Cgraph.iter_out_edges graph id (fun e ->
-          comb e.Cgraph.pid;
-          comb e.Cgraph.target)
-    done;
-    String.iter (fun c -> comb (Char.code c)) (reduce_mode_name mode);
+    let inst = Serve_api.instance task in
+    let inputs = values raw_inputs in
+    let graph =
+      Cgraph.build ~max_states ~reduce:(Serve_api.reduction_for inst mode)
+        ~machine:inst.Serve_api.machine ~specs:inst.Serve_api.specs ~inputs ()
+    in
+    let h = ref (graph_hash graph) in
+    let comb k = h := hash_step !h k in
+    let comb_string = String.iter (fun c -> comb (Char.code c)) in
+    comb_string (Serve_api.reduce_name mode);
     Array.iter (fun v -> comb (Value.hash v)) inputs;
     comb max_states;
     (* The question and substrate don't change the dac graph fold above
@@ -1441,12 +1205,12 @@ let fingerprint warmup n max_states mode question substrate inputs_opt =
        separation is the point: a liveness answer and a safety answer,
        or the same task under different fairness, must never share a
        cache slot. *)
-    String.iter (fun c -> comb (Char.code c)) (Serve_api.question_label question);
-    String.iter (fun c -> comb (Char.code c)) substrate;
+    comb_string (Serve_api.question_label question);
+    comb_string substrate;
     let q =
       Serve_api.Verify
         {
-          task = Serve_api.Dac { n };
+          task;
           question;
           inputs = raw_inputs;
           max_states;
@@ -1458,7 +1222,7 @@ let fingerprint warmup n max_states mode question substrate inputs_opt =
       "states=%d edges=%d truncated=%b reduce=%s question=%s substrate=%s \
        fingerprint=%08x key=%s@."
       (Cgraph.n_nodes graph) (Cgraph.n_edges graph) graph.Cgraph.truncated
-      (reduce_mode_name mode)
+      (Serve_api.reduce_name mode)
       (Serve_api.question_label question)
       substrate
       (!h land 0xffffffff)
@@ -1477,28 +1241,6 @@ let fingerprint_cmd =
              shifting every subsequent intern id.  The printed fingerprint \
              must not change.")
   in
-  let question =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("solve", Serve_api.Solve); ("valence", Serve_api.Valence);
-               ("live", Serve_api.Live) ])
-          Serve_api.Solve
-      & info [ "question" ] ~docv:"Q"
-          ~doc:
-            "Which question the printed key addresses (solve | valence | \
-             live); distinct questions must print distinct keys.")
-  in
-  let substrate =
-    Arg.(
-      value
-      & opt string "shm"
-      & info [ "substrate" ] ~docv:"SUB"
-          ~doc:
-            "Which substrate the printed key addresses; distinct \
-             substrates must print distinct keys.")
-  in
   Cmd.v
     (Cmd.info "fingerprint"
        ~doc:
@@ -1508,7 +1250,7 @@ let fingerprint_cmd =
           vector, state quota, question and substrate).")
     Term.(
       const fingerprint $ warmup $ n_arg $ max_states_arg $ reduce_arg
-      $ question $ substrate $ inputs_arg)
+      $ question_arg $ substrate_arg $ inputs_arg)
 
 (* --- serve / query / shutdown ---------------------------------------------- *)
 
@@ -1606,33 +1348,6 @@ let serve_cmd =
     Term.(const serve $ socket_arg $ store_arg $ workers $ default_deadline
           $ store_probe $ io_chaos_arg $ quiet)
 
-let task_conv =
-  let parse s =
-    let int_ge lo v k =
-      match int_of_string_opt v with
-      | Some v when v >= lo -> Ok (k v)
-      | _ -> Error (`Msg (Fmt.str "%S: expected an integer >= %d" s lo))
-    in
-    match String.split_on_char ':' s with
-    | [ "dac"; n ] -> int_ge 2 n (fun n -> Serve_api.Dac { n })
-    | [ "cons"; m ] | [ "consensus"; m ] ->
-      int_ge 1 m (fun m -> Serve_api.Consensus { m })
-    | [ "kset"; m; k ] ->
-      Result.bind (int_ge 1 m Fun.id) (fun m ->
-          int_ge 1 k (fun k -> Serve_api.Kset { m; k }))
-    | "cand" :: (_ :: _ as rest) | "candidate" :: (_ :: _ as rest) ->
-      Ok (Serve_api.Candidate { name = String.concat ":" rest })
-    | [ "vc"; n ] -> int_ge 2 n (fun n -> Serve_api.Vc { n })
-    | [ "bcast"; n ] -> int_ge 1 n (fun n -> Serve_api.Bcast { n })
-    | _ ->
-      Error
-        (`Msg
-           "task is dac:<n> | cons:<m> | kset:<m>:<k> | cand:<name> | \
-            vc:<n> | bcast:<n> (see `lbsa check candidate` for names)")
-  in
-  let print ppf t = Fmt.string ppf (Serve_api.task_label t) in
-  Arg.conv (parse, print)
-
 let query task fuzz_target question substrate inputs_opt max_states mode trials
     procs ops seed socket wait_s deadline want_stats =
   let fail msg =
@@ -1669,14 +1384,10 @@ let query task fuzz_target question substrate inputs_opt max_states mode trials
     | None, None -> fail "nothing to ask: give a TASK, --fuzz, or --stats"
     | Some task, None ->
       let inputs =
-        match inputs_opt with
-        | Some l -> l
-        | None -> Serve_api.default_inputs task
+        Option.value inputs_opt ~default:(Serve_api.default_inputs task)
       in
       let substrate =
-        match substrate with
-        | Some s -> s
-        | None -> Serve_api.default_substrate task
+        Option.value substrate ~default:(Serve_api.default_substrate task)
       in
       ask
         (Serve_api.Verify
@@ -1688,7 +1399,7 @@ let query_cmd =
   let task =
     Arg.(
       value
-      & pos 0 (some task_conv) None
+      & pos 0 (some (Arg.conv (parse_task, pp_task))) None
       & info [] ~docv:"TASK"
           ~doc:
             "dac:<n> | cons:<m> | kset:<m>:<k> | cand:<name> | vc:<n> | \
@@ -1703,19 +1414,6 @@ let query_cmd =
             "Instead of a verification question, run (or resume) a \
              conformance-fuzz campaign against this registry \
              implementation.")
-  in
-  let question =
-    Arg.(
-      value
-      & opt
-          (enum
-             [ ("solve", Serve_api.Solve); ("valence", Serve_api.Valence);
-               ("live", Serve_api.Live) ])
-          Serve_api.Solve
-      & info [ "question" ] ~docv:"Q"
-          ~doc:
-            "solve (solvability verdict), valence (graph summary), or live \
-             (fair-cycle liveness verdict with a shrunk lasso witness).")
   in
   let trials =
     Arg.(value & opt int 200 & info [ "trials" ] ~docv:"T" ~doc:"Fuzz trials.")
@@ -1744,7 +1442,7 @@ let query_cmd =
           itself; 3 means the daemon could not be reached or the query was \
           malformed.")
     Term.(
-      const query $ task $ fuzz_target $ question $ substrate_arg $ inputs_arg
+      const query $ task $ fuzz_target $ question_arg $ substrate_arg $ inputs_arg
       $ max_states_arg $ reduce_arg $ trials $ procs $ ops $ seed_arg
       $ socket_arg $ wait_arg $ deadline_arg $ want_stats)
 
@@ -1783,12 +1481,20 @@ let () =
       ~doc:
         "Executable reproduction of 'Life Beyond Set Agreement' (PODC 2017)."
   in
+  let cmd =
+    Cmd.group info
+      [
+        run_dac_cmd; check_cmd; solve_cmd; valence_cmd; explore_cmd; power_cmd;
+        separation_cmd; lin_check_cmd; fuzz_cmd; universal_cmd; bg_cmd;
+        qadri_cmd; objects_cmd; fingerprint_cmd; serve_cmd; query_cmd;
+        shutdown_cmd;
+      ]
+  in
+  (* cmdliner's own exit for a usage error is 124; the CLI-wide policy
+     says 3. *)
   exit
-    (Cmd.eval'
-       (Cmd.group info
-          [
-            run_dac_cmd; check_cmd; solve_cmd; valence_cmd; explore_cmd;
-            power_cmd; separation_cmd; lin_check_cmd; fuzz_cmd; universal_cmd;
-            bg_cmd; qadri_cmd; objects_cmd; fingerprint_cmd; serve_cmd;
-            query_cmd; shutdown_cmd;
-          ]))
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok code) -> code
+    | Ok (`Help | `Version) -> 0
+    | Error (`Parse | `Term) -> 3
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -59,7 +59,7 @@ module Budget = struct
     | Some tok when cancelled tok -> Some Cancelled
     | _ -> (
       match t.deadline with
-      | Some d when Unix.gettimeofday () > d -> Some Deadline
+      | Some d when Unix.gettimeofday () >= d -> Some Deadline
       | _ -> None)
 end
 

@@ -95,12 +95,6 @@ let reduce_name = function
   | `Sym -> "sym"
   | `Sym_sleep -> "sym+sleep"
 
-let reduce_of_name = function
-  | "none" -> Some `None
-  | "sym" -> Some `Sym
-  | "sym+sleep" -> Some `Sym_sleep
-  | _ -> None
-
 let task_label = function
   | Dac { n } -> Fmt.str "dac:%d" n
   | Consensus { m } -> Fmt.str "cons:%d" m
@@ -158,7 +152,34 @@ let canonical = function
 
 let key q = Fnv.to_hex (Fnv.string (canonical q))
 
-(* --- task instances ----------------------------------------------------- *)
+(* --- the task registry ---------------------------------------------------- *)
+
+(* Everything a front-end needs to ask about a task lives here: its
+   [dac:<n>]-style syntax, its instance (machine, object specs, checker
+   flavor, certified symmetry group, frozen-object hook), its default
+   input vector, its input family and its reduction.  The CLI's check,
+   solve, valence, explore and fingerprint commands, the daemon and the
+   benchmark all read tasks from this one place. *)
+
+let task_of_string s =
+  let int_ge lo v k =
+    match int_of_string_opt v with
+    | Some v when v >= lo -> Ok (k v)
+    | _ -> Error (Fmt.str "%S: expected an integer >= %d" s lo)
+  in
+  match String.split_on_char ':' s with
+  | [ "dac"; n ] -> int_ge 2 n (fun n -> Dac { n })
+  | [ "cons"; m ] | [ "consensus"; m ] -> int_ge 1 m (fun m -> Consensus { m })
+  | [ "kset"; m; k ] ->
+    Result.bind (int_ge 1 m Fun.id) (fun m -> int_ge 1 k (fun k -> Kset { m; k }))
+  | "cand" :: (_ :: _ as rest) | "candidate" :: (_ :: _ as rest) ->
+    Ok (Candidate { name = String.concat ":" rest })
+  | [ "vc"; n ] -> int_ge 2 n (fun n -> Vc { n })
+  | [ "bcast"; n ] -> int_ge 1 n (fun n -> Bcast { n })
+  | _ ->
+    Error
+      "task is dac:<n> | cons:<m> | kset:<m>:<k> | cand:<name> | vc:<n> | \
+       bcast:<n> (see `lbsa check candidate` for names)"
 
 type flavor = Check_dac | Check_consensus | Check_kset of int
 
@@ -171,28 +192,37 @@ type instance = {
   frozen : (int -> Value.t -> bool) option;
 }
 
-(* dac's PAC object (index 0) is permanently inert once upset — the
-   certification the sleep layer's [frozen] hook wants (same rule as the
-   CLI's check/solve commands). *)
+(* dac's PAC object (index 0) is permanently inert once upset: its state
+   never changes again and every propose gets the same abort response —
+   exactly the certification the sleep layer's [frozen] hook wants. *)
 let dac_frozen obj st = obj = 0 && Lbsa_objects.Pac.is_upset st
 
-let candidate_names =
+(* The candidates the paper proves must fail: the task each attempts,
+   its process count, and its protocol, built only when asked for. *)
+let candidates =
   [
-    "flp-write-read"; "flp-spin"; "3dac-sa2-then-cons2";
-    "3dac-cons2-announce"; "3cons-from-22pac"; "pac-retry";
+    ("flp-write-read", (Check_consensus, 2, fun () -> Candidates.flp_write_read));
+    ("flp-spin", (Check_consensus, 2, fun () -> Candidates.flp_spin));
+    ( "3dac-sa2-then-cons2",
+      (Check_dac, 3, fun () -> Candidates.dac3_sa2_then_cons2) );
+    ( "3dac-cons2-announce",
+      (Check_dac, 3, fun () -> Candidates.dac3_cons2_announce) );
+    ( "3cons-from-22pac",
+      ( Check_consensus,
+        3,
+        fun () -> Candidates.consensus_m1_from_pac_nm ~n:2 ~m:2 ) );
+    ( "pac-retry",
+      ( Check_consensus,
+        2,
+        fun () -> Candidates.consensus_from_pac_retry ~n:2 ~procs:2 ) );
   ]
 
+let candidate_names = List.map fst candidates
+
 let candidate name =
-  match name with
-  | "flp-write-read" -> (Check_consensus, Candidates.flp_write_read, 2)
-  | "flp-spin" -> (Check_consensus, Candidates.flp_spin, 2)
-  | "3dac-sa2-then-cons2" -> (Check_dac, Candidates.dac3_sa2_then_cons2, 3)
-  | "3dac-cons2-announce" -> (Check_dac, Candidates.dac3_cons2_announce, 3)
-  | "3cons-from-22pac" ->
-    (Check_consensus, Candidates.consensus_m1_from_pac_nm ~n:2 ~m:2, 3)
-  | "pac-retry" ->
-    (Check_consensus, Candidates.consensus_from_pac_retry ~n:2 ~procs:2, 2)
-  | _ ->
+  match List.assoc_opt name candidates with
+  | Some c -> c
+  | None ->
     invalid_arg
       (Fmt.str "unknown candidate %S; known: %s" name
          (String.concat ", " candidate_names))
@@ -228,7 +258,8 @@ let instance ?(byz = 0) = function
       frozen = None;
     }
   | Candidate { name } ->
-    let flavor, (machine, specs), procs = candidate name in
+    let flavor, procs, build = candidate name in
+    let machine, specs = build () in
     (* No certified symmetry group for free-form candidates: [sym] is
        the identity quotient, [sym+sleep] still prunes commit steps. *)
     { machine; specs; procs; flavor; canon = Canon.identity; frozen = None }
@@ -260,12 +291,25 @@ let default_inputs = function
   | Consensus { m } -> List.init m (fun pid -> pid mod 2)
   | Kset { m; k } -> List.init (m * k) Fun.id
   | Candidate { name } ->
-    let _, _, procs = candidate name in
+    let _, procs, _ = candidate name in
     List.init procs (fun pid -> pid mod 2)
   | Vc { n } | Bcast { n } ->
     (* input-free protocols; the vector only fixes the arity *)
     List.init n (fun _ -> 0)
 
+let values l = Array.of_list (List.map Value.int l)
+
+(* The vectors a solvability check must pass: every binary vector for
+   the agreement tasks, the one default vector for the rest. *)
+let input_family task inst =
+  match task with
+  | Dac _ | Consensus _ | Candidate _ -> Consensus_task.binary_inputs inst.procs
+  | Kset _ | Vc _ | Bcast _ -> [ values (default_inputs task) ]
+
+(* [canon] is the task's certified symmetry group — identity when none
+   is certified, in which case the mode still applies the sleep layer
+   and keeps its requested name so labels and checkpoints stay
+   consistent. *)
 let reduction_for inst (mode : reduce_mode) : Graph.reduction =
   match mode with
   | `None -> Graph.no_reduction
@@ -274,7 +318,53 @@ let reduction_for inst (mode : reduce_mode) : Graph.reduction =
     { Graph.rname = "sym+sleep"; canon = inst.canon; sleep = true;
       frozen = inst.frozen }
 
-(* --- cold compute ------------------------------------------------------- *)
+(* The substrate is not a free knob: message-passing tasks need the
+   network-fairness constraints (and build their network object from
+   the substrate's byz budget), shared-memory tasks mean nothing under
+   them. *)
+let resolve task substrate_name =
+  let substrate, byz =
+    match substrate_of_name substrate_name with
+    | Some s -> s
+    | None ->
+      invalid_arg
+        (Fmt.str "unknown substrate %S (try shm, mp, mp+byz:<f>)"
+           substrate_name)
+  in
+  if mp_task task && substrate.Substrate.sname = "shm" then
+    invalid_arg
+      (Fmt.str "task %s is message-passing; use --substrate mp"
+         (task_label task));
+  if (not (mp_task task)) && substrate.Substrate.sname <> "shm" then
+    invalid_arg
+      (Fmt.str "task %s is shared-memory; use --substrate shm"
+         (task_label task));
+  (substrate, instance ~byz task)
+
+let solvability inst ?max_states ?domains ?budget ?substrate ?reduce ?resume
+    ?shards ?spill ~inputs () =
+  let machine = inst.machine and specs = inst.specs in
+  match inst.flavor with
+  | Check_dac ->
+    Solvability.check_dac ?max_states ?domains ?budget ?substrate ?reduce
+      ?resume ?shards ?spill ~machine ~specs ~inputs ()
+  | Check_consensus ->
+    Solvability.check_consensus ?max_states ?domains ?budget ?substrate
+      ?reduce ?resume ?shards ?spill ~machine ~specs ~inputs ()
+  | Check_kset k ->
+    Solvability.check_kset ?max_states ?domains ?budget ?substrate ?reduce
+      ?resume ?shards ?spill ~machine ~specs ~k ~inputs ()
+
+(* Witness searches always explore unreduced, so only the flavor picks
+   the judge. *)
+let witness inst ~max_states ~inputs =
+  let machine = inst.machine and specs = inst.specs in
+  match inst.flavor with
+  | Check_dac -> Solvability.dac_witness ~max_states ~machine ~specs ~inputs ()
+  | Check_consensus | Check_kset _ ->
+    Solvability.consensus_witness ~max_states ~machine ~specs ~inputs ()
+
+(* --- answering ---------------------------------------------------------- *)
 
 type computed = {
   res : result;
@@ -293,137 +383,110 @@ let cacheable_outcome = function
   | Supervisor.Deadline | Supervisor.Cancelled | Supervisor.Worker_failed _ ->
     false
 
+let verdict_payload (v : Solvability.verdict) =
+  {
+    v_ok = v.Solvability.ok;
+    v_outcome = Fmt.str "%a" Supervisor.pp_outcome v.Solvability.outcome;
+    v_partial = Supervisor.is_partial v.Solvability.outcome;
+    v_inputs = Array.to_list (Array.map Value.to_int_exn v.Solvability.inputs);
+    v_states = v.Solvability.states;
+    v_failure = v.Solvability.failure;
+  }
+
+(* One question on one input vector, plus the solvability verdict when
+   the question is [Solve].  [domains] is the explorer's parallelism,
+   auto when absent. *)
+let answer ?domains ?shards ~budget ~substrate ~reduce ~max_states ~inputs
+    inst question =
+  let machine = inst.machine and specs = inst.specs in
+  let build () =
+    Graph.build ~max_states ?domains ?shards ~budget ~substrate ~reduce
+      ~machine ~specs ~inputs ()
+  in
+  let of_graph graph res =
+    ({ res; cacheable = cacheable_outcome graph.Graph.stop; fuzz_prefix = None },
+     None)
+  in
+  let cut graph =
+    let truncated = graph.Graph.stop = Supervisor.Truncated in
+    (truncated, graph.Graph.truncated && not truncated)
+  in
+  match question with
+  | Solve ->
+    let verdict =
+      solvability inst ~max_states ?domains ?shards ~budget ~substrate ~reduce
+        ~inputs ()
+    in
+    ( {
+        res = Verdict (verdict_payload verdict);
+        cacheable = cacheable_outcome verdict.Solvability.outcome;
+        fuzz_prefix = None;
+      },
+      Some verdict )
+  | Valence ->
+    let graph = build () in
+    let l_truncated, l_partial = cut graph in
+    let a = Lbsa_modelcheck.Valence.analyze graph in
+    let s = Lbsa_modelcheck.Valence.summarize a in
+    of_graph graph
+      (Valences
+         {
+           l_nodes = Graph.n_nodes graph;
+           l_edges = Graph.n_edges graph;
+           l_truncated;
+           l_partial;
+           l_bivalent = s.Lbsa_modelcheck.Valence.n_bivalent;
+           l_univalent = s.Lbsa_modelcheck.Valence.n_univalent;
+           l_undecided = s.Lbsa_modelcheck.Valence.n_undecided;
+           l_initial =
+             Fmt.str "%a" Lbsa_modelcheck.Valence.pp_classification
+               (Lbsa_modelcheck.Valence.classify a graph.Graph.initial);
+         })
+  | Live ->
+    let graph = build () in
+    let lv_truncated, lv_partial = cut graph in
+    let report = Liveness.analyze ~machine ~specs ~substrate graph in
+    let live =
+      {
+        lv_live = true;
+        lv_nodes = Graph.n_nodes graph;
+        lv_sccs = report.Liveness.sccs;
+        lv_fair = 0;
+        lv_truncated;
+        lv_partial;
+        lv_prefix = 0;
+        lv_cycle = 0;
+        lv_witness = None;
+      }
+    in
+    of_graph graph
+      (Liveness_report
+         (match report.Liveness.verdict with
+         | Liveness.Live -> live
+         | Liveness.Livelock w ->
+           let w, _steps =
+             Lbsa_fuzz.Lasso.shrink ~machine ~specs ~substrate ~graph w
+           in
+           {
+             live with
+             lv_live = false;
+             lv_fair = report.Liveness.fair_sccs;
+             lv_prefix = List.length w.Liveness.w_prefix;
+             lv_cycle = List.length w.Liveness.w_cycle;
+             lv_witness = Some (Fmt.str "%a" Liveness.pp_witness w);
+           }))
+
 let compute ?(budget = Supervisor.Budget.unlimited) ?(start = 0) q : computed =
   match q with
-  | Verify v -> (
-    let substrate, byz =
-      match substrate_of_name v.substrate with
-      | Some s -> s
-      | None ->
-        invalid_arg
-          (Fmt.str "unknown substrate %S (try shm, mp, mp+byz:<f>)" v.substrate)
-    in
-    (* The substrate is not a free knob: message-passing tasks need the
-       network-fairness constraints (and build their network object from
-       the substrate's byz budget), shared-memory tasks mean nothing
-       under them. *)
-    if mp_task v.task && substrate.Substrate.sname = "shm" then
-      invalid_arg
-        (Fmt.str "task %s is message-passing; use --substrate mp"
-           (task_label v.task));
-    if (not (mp_task v.task)) && substrate.Substrate.sname <> "shm" then
-      invalid_arg
-        (Fmt.str "task %s is shared-memory; use --substrate shm"
-           (task_label v.task));
-    let inst = instance ~byz v.task in
+  | Verify v ->
+    let substrate, inst = resolve v.task v.substrate in
     if List.length v.inputs <> inst.procs then
       invalid_arg
         (Fmt.str "task %s expects %d inputs, got %d" (task_label v.task)
            inst.procs (List.length v.inputs));
-    let inputs = Array.of_list (List.map Value.int v.inputs) in
-    let reduce = reduction_for inst v.reduce in
-    let machine = inst.machine and specs = inst.specs in
-    match v.question with
-    | Solve ->
-      let verdict =
-        match inst.flavor with
-        | Check_dac ->
-          Solvability.check_dac ~max_states:v.max_states ~domains:1 ~budget
-            ~substrate ~reduce ~machine ~specs ~inputs ()
-        | Check_consensus ->
-          Solvability.check_consensus ~max_states:v.max_states ~domains:1
-            ~budget ~substrate ~reduce ~machine ~specs ~inputs ()
-        | Check_kset k ->
-          Solvability.check_kset ~max_states:v.max_states ~domains:1 ~budget
-            ~substrate ~reduce ~machine ~specs ~k ~inputs ()
-      in
-      {
-        res =
-          Verdict
-            {
-              v_ok = verdict.Solvability.ok;
-              v_outcome =
-                Fmt.str "%a" Supervisor.pp_outcome verdict.Solvability.outcome;
-              v_partial = Supervisor.is_partial verdict.Solvability.outcome;
-              v_inputs = v.inputs;
-              v_states = verdict.Solvability.states;
-              v_failure = verdict.Solvability.failure;
-            };
-        cacheable = cacheable_outcome verdict.Solvability.outcome;
-        fuzz_prefix = None;
-      }
-    | Valence ->
-      let graph =
-        Graph.build ~max_states:v.max_states ~domains:1 ~budget ~substrate
-          ~reduce ~machine ~specs ~inputs ()
-      in
-      let a = Lbsa_modelcheck.Valence.analyze graph in
-      let s = Lbsa_modelcheck.Valence.summarize a in
-      {
-        res =
-          Valences
-            {
-              l_nodes = Graph.n_nodes graph;
-              l_edges = Graph.n_edges graph;
-              l_truncated = graph.Graph.stop = Supervisor.Truncated;
-              l_partial =
-                graph.Graph.truncated
-                && graph.Graph.stop <> Supervisor.Truncated;
-              l_bivalent = s.Lbsa_modelcheck.Valence.n_bivalent;
-              l_univalent = s.Lbsa_modelcheck.Valence.n_univalent;
-              l_undecided = s.Lbsa_modelcheck.Valence.n_undecided;
-              l_initial =
-                Fmt.str "%a" Lbsa_modelcheck.Valence.pp_classification
-                  (Lbsa_modelcheck.Valence.classify a graph.Graph.initial);
-            };
-        cacheable = cacheable_outcome graph.Graph.stop;
-        fuzz_prefix = None;
-      }
-    | Live ->
-      let graph =
-        Graph.build ~max_states:v.max_states ~domains:1 ~budget ~substrate
-          ~reduce ~machine ~specs ~inputs ()
-      in
-      let report = Liveness.analyze ~machine ~specs ~substrate graph in
-      let truncated = graph.Graph.stop = Supervisor.Truncated in
-      let partial =
-        graph.Graph.truncated && graph.Graph.stop <> Supervisor.Truncated
-      in
-      let payload =
-        match report.Liveness.verdict with
-        | Liveness.Live ->
-          {
-            lv_live = true;
-            lv_nodes = Graph.n_nodes graph;
-            lv_sccs = report.Liveness.sccs;
-            lv_fair = 0;
-            lv_truncated = truncated;
-            lv_partial = partial;
-            lv_prefix = 0;
-            lv_cycle = 0;
-            lv_witness = None;
-          }
-        | Liveness.Livelock w ->
-          let w, _steps =
-            Lbsa_fuzz.Lasso.shrink ~machine ~specs ~substrate ~graph w
-          in
-          {
-            lv_live = false;
-            lv_nodes = Graph.n_nodes graph;
-            lv_sccs = report.Liveness.sccs;
-            lv_fair = report.Liveness.fair_sccs;
-            lv_truncated = truncated;
-            lv_partial = partial;
-            lv_prefix = List.length w.Liveness.w_prefix;
-            lv_cycle = List.length w.Liveness.w_cycle;
-            lv_witness = Some (Fmt.str "%a" Liveness.pp_witness w);
-          }
-      in
-      {
-        res = Liveness_report payload;
-        cacheable = cacheable_outcome graph.Graph.stop;
-        fuzz_prefix = None;
-      })
+    fst
+      (answer ~domains:1 ~budget ~substrate ~reduce:(reduction_for inst v.reduce)
+         ~max_states:v.max_states ~inputs:(values v.inputs) inst v.question)
   | Fuzz f ->
     let target = Lbsa_fuzz.Targets.spec_target f.target in
     let report =
@@ -462,6 +525,45 @@ let compute ?(budget = Supervisor.Budget.unlimited) ?(start = 0) q : computed =
       fuzz_prefix = (if partial then Some report.Lbsa_fuzz.Engine.completed
                      else None);
     }
+
+type checked = {
+  answer : result;
+  instance : instance;
+  verdict : Solvability.verdict option;
+  family : Solvability.family_stats option;
+}
+
+(* The whole-task check behind `lbsa check`: the solvability question
+   over the task's input family, or another question on its default
+   vector.  A multi-vector sweep runs sequentially with the explorer at
+   its default parallelism; [domains] > 0 fans the vectors out instead,
+   one domain each.  A one-vector family hands [domains] to the
+   explorer. *)
+let check ?(budget = Supervisor.Budget.unlimited) ?(domains = 0) ?shards
+    ~question ~max_states ~reduce ?substrate task =
+  let substrate, inst =
+    resolve task (Option.value substrate ~default:(default_substrate task))
+  in
+  let reduce = reduction_for inst reduce in
+  let explorer = if domains <= 0 then None else Some domains in
+  match (question, input_family task inst) with
+  | Solve, (_ :: _ :: _ as vectors) ->
+    let sweep, inner = if domains <= 0 then (1, None) else (domains, Some 1) in
+    let verdict, family =
+      Solvability.for_all_inputs_timed ~domains:sweep ~budget
+        (fun inputs ->
+          solvability inst ~max_states ?domains:inner ~budget ~substrate
+            ~reduce ?shards ~inputs ())
+        vectors
+    in
+    { answer = Verdict (verdict_payload verdict); instance = inst;
+      verdict = Some verdict; family = Some family }
+  | _ ->
+    let c, verdict =
+      answer ?domains:explorer ?shards ~budget ~substrate ~reduce ~max_states
+        ~inputs:(values (default_inputs task)) inst question
+    in
+    { answer = c.res; instance = inst; verdict; family = None }
 
 (* --- rendering ---------------------------------------------------------- *)
 

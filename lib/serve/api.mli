@@ -14,6 +14,7 @@
     preimage (the original [lbsa fingerprint] omitted them; two
     semantically different queries could share a key). *)
 
+open Lbsa_spec
 open Lbsa_runtime
 
 type reduce_mode = [ `None | `Sym | `Sym_sleep ]
@@ -108,11 +109,8 @@ val key : query -> string
     every read; the digest routes, the preimage decides. *)
 
 val reduce_name : reduce_mode -> string
-val reduce_of_name : string -> reduce_mode option
 val task_label : task -> string
 val question_label : question -> string
-val candidate_names : string list
-val default_inputs : task -> int list
 
 val substrate_of_name : string -> (Substrate.t * int) option
 (** The substrate record plus its Byzantine budget ("shm" and "mp"
@@ -125,7 +123,71 @@ val mp_task : task -> bool
 val default_substrate : task -> string
 (** "mp" for message-passing tasks, "shm" otherwise. *)
 
-(** {2 Cold compute} *)
+(** {2 The task registry}
+
+    The one place a task is declared: its syntax, its instance, its
+    default inputs, its input family and its reduction.  Every
+    front-end reads tasks from here. *)
+
+val task_of_string : string -> (task, string) Stdlib.result
+(** [dac:<n> | cons:<m> | kset:<m>:<k> | cand:<name> | vc:<n> |
+    bcast:<n>]; the inverse of {!task_label}. *)
+
+val candidate_names : string list
+(** The candidates, in registry order. *)
+
+type flavor = Check_dac | Check_consensus | Check_kset of int
+    (** which task the solvability checker holds the protocol to *)
+
+type instance = {
+  machine : Machine.t;
+  specs : Obj_spec.t array;
+  procs : int;
+  flavor : flavor;
+  canon : Lbsa_modelcheck.Canon.t;  (** the certified symmetry group *)
+  frozen : (int -> Value.t -> bool) option;
+      (** objects certified inert, for the sleep layer *)
+}
+
+val instance : ?byz:int -> task -> instance
+(** Builds the protocol; [byz] sizes the network object of the
+    message-passing tasks.  Raises [Invalid_argument] on an unknown
+    candidate. *)
+
+val default_inputs : task -> int list
+(** The task's canonical input vector. *)
+
+val reduction_for : instance -> reduce_mode -> Lbsa_modelcheck.Graph.reduction
+
+val resolve : task -> string -> Substrate.t * instance
+(** The named substrate and the instance built on it.  Raises
+    [Invalid_argument] on unknown substrate syntax or when the task and
+    the substrate belong to different families (shared memory vs
+    message passing). *)
+
+val solvability :
+  instance ->
+  ?max_states:int ->
+  ?domains:int ->
+  ?budget:Supervisor.Budget.t ->
+  ?substrate:Substrate.t ->
+  ?reduce:Lbsa_modelcheck.Graph.reduction ->
+  ?resume:Lbsa_modelcheck.Graph.suspended ->
+  ?shards:int ->
+  ?spill:Lbsa_modelcheck.Graph.spill ->
+  inputs:Value.t array ->
+  unit ->
+  Lbsa_modelcheck.Solvability.verdict
+(** The instance's solvability check on one input vector. *)
+
+val witness :
+  instance ->
+  max_states:int ->
+  inputs:Value.t array ->
+  Lbsa_modelcheck.Solvability.witness_search
+(** The shortest schedule to a safety violation on [inputs]. *)
+
+(** {2 Answering} *)
 
 type computed = {
   res : result;
@@ -145,6 +207,35 @@ val compute : ?budget:Supervisor.Budget.t -> ?start:int -> query -> computed
     fan-out are pinned to one domain — the service's worker pool is the
     parallelism layer.  Raises [Invalid_argument] on an unknown task,
     candidate or fuzz target, or an input vector of the wrong arity. *)
+
+type checked = {
+  answer : result;
+  instance : instance;
+  verdict : Lbsa_modelcheck.Solvability.verdict option;
+      (** the reported vector's verdict, for the solve question *)
+  family : Lbsa_modelcheck.Solvability.family_stats option;
+      (** sweep statistics, when the family has several vectors *)
+}
+
+val check :
+  ?budget:Supervisor.Budget.t ->
+  ?domains:int ->
+  ?shards:int ->
+  question:question ->
+  max_states:int ->
+  reduce:reduce_mode ->
+  ?substrate:string ->
+  task ->
+  checked
+(** A whole-task check: [Solve] sweeps the task's input family (every
+    binary vector for dac, consensus and the candidates; the default
+    vector otherwise) and reports the first failing vector or the last
+    passing one; [Valence] and [Live] ask about the default vector.  A
+    multi-vector sweep runs sequentially with the explorer at its
+    default parallelism, or fans out over [domains] > 0 with one domain
+    per vector; a one-vector question hands [domains] to the explorer.
+    [substrate] defaults to {!default_substrate}.  Raises
+    [Invalid_argument] like {!compute}. *)
 
 (** {2 Rendering} *)
 
