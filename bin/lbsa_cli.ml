@@ -144,7 +144,9 @@ let task_of_flags kind ~n ~m ~k ~name =
 let task_pos kinds ~doc =
   Arg.(required & pos 0 (some (enum kinds)) None & info [] ~docv:"TASK" ~doc)
 
-let parse_task s = Result.map_error (fun m -> `Msg m) (Serve_api.task_of_string s)
+let parse_task s =
+  Result.map_error (fun m -> `Msg m) (Serve_api.task_of_string s)
+
 let pp_task ppf t = Fmt.string ppf (Serve_api.task_label t)
 
 (* --- out-of-core exploration ------------------------------------------ *)
@@ -632,7 +634,9 @@ let explore_task_conv =
     | [ "of"; n; r ] -> (
       match (int_of_string_opt n, int_of_string_opt r) with
       | Some n, Some r when n >= 2 && r >= 1 -> Ok (`Of (n, r))
-      | _ -> Error (`Msg (Fmt.str "%S: of:<n>:<rounds> needs n >= 2, rounds >= 1" s)))
+      | _ ->
+        Error (`Msg (Fmt.str "%S: of:<n>:<rounds> needs n >= 2, rounds >= 1" s))
+      )
     | _ -> Result.map (fun t -> `Task t) (parse_task s)
   in
   let print ppf = function
@@ -685,7 +689,7 @@ let explore task max_states rmode d shards spill_dir spill_threshold deadline
   let substrate, inst, inputs =
     match task with
     | `Task t ->
-      let substrate, inst = Serve_api.resolve t (Serve_api.default_substrate t) in
+      let substrate, inst = Serve_api.resolve t in
       (substrate, inst, values (Serve_api.default_inputs t))
     | `Of (n, r) ->
       (* No certified symmetry group: [sym] degrades to the identity

@@ -161,26 +161,6 @@ let key q = Fnv.to_hex (Fnv.string (canonical q))
    solve, valence, explore and fingerprint commands, the daemon and the
    benchmark all read tasks from this one place. *)
 
-let task_of_string s =
-  let int_ge lo v k =
-    match int_of_string_opt v with
-    | Some v when v >= lo -> Ok (k v)
-    | _ -> Error (Fmt.str "%S: expected an integer >= %d" s lo)
-  in
-  match String.split_on_char ':' s with
-  | [ "dac"; n ] -> int_ge 2 n (fun n -> Dac { n })
-  | [ "cons"; m ] | [ "consensus"; m ] -> int_ge 1 m (fun m -> Consensus { m })
-  | [ "kset"; m; k ] ->
-    Result.bind (int_ge 1 m Fun.id) (fun m -> int_ge 1 k (fun k -> Kset { m; k }))
-  | "cand" :: (_ :: _ as rest) | "candidate" :: (_ :: _ as rest) ->
-    Ok (Candidate { name = String.concat ":" rest })
-  | [ "vc"; n ] -> int_ge 2 n (fun n -> Vc { n })
-  | [ "bcast"; n ] -> int_ge 1 n (fun n -> Bcast { n })
-  | _ ->
-    Error
-      "task is dac:<n> | cons:<m> | kset:<m>:<k> | cand:<name> | vc:<n> | \
-       bcast:<n> (see `lbsa check candidate` for names)"
-
 type flavor = Check_dac | Check_consensus | Check_kset of int
 
 type instance = {
@@ -201,7 +181,8 @@ let dac_frozen obj st = obj = 0 && Lbsa_objects.Pac.is_upset st
    its process count, and its protocol, built only when asked for. *)
 let candidates =
   [
-    ("flp-write-read", (Check_consensus, 2, fun () -> Candidates.flp_write_read));
+    ( "flp-write-read",
+      (Check_consensus, 2, fun () -> Candidates.flp_write_read) );
     ("flp-spin", (Check_consensus, 2, fun () -> Candidates.flp_spin));
     ( "3dac-sa2-then-cons2",
       (Check_dac, 3, fun () -> Candidates.dac3_sa2_then_cons2) );
@@ -226,6 +207,32 @@ let candidate name =
     invalid_arg
       (Fmt.str "unknown candidate %S; known: %s" name
          (String.concat ", " candidate_names))
+
+let task_of_string s =
+  let int_ge lo v k =
+    match int_of_string_opt v with
+    | Some v when v >= lo -> Ok (k v)
+    | _ -> Error (Fmt.str "%S: expected an integer >= %d" s lo)
+  in
+  match String.split_on_char ':' s with
+  | [ "dac"; n ] -> int_ge 2 n (fun n -> Dac { n })
+  | [ "cons"; m ] | [ "consensus"; m ] -> int_ge 1 m (fun m -> Consensus { m })
+  | [ "kset"; m; k ] ->
+    Result.bind (int_ge 1 m Fun.id) (fun m ->
+        int_ge 1 k (fun k -> Kset { m; k }))
+  | "cand" :: (_ :: _ as rest) | "candidate" :: (_ :: _ as rest) ->
+    let name = String.concat ":" rest in
+    if List.mem name candidate_names then Ok (Candidate { name })
+    else
+      Error
+        (Fmt.str "unknown candidate %S; known: %s" name
+           (String.concat ", " candidate_names))
+  | [ "vc"; n ] -> int_ge 2 n (fun n -> Vc { n })
+  | [ "bcast"; n ] -> int_ge 1 n (fun n -> Bcast { n })
+  | _ ->
+    Error
+      "task is dac:<n> | cons:<m> | kset:<m>:<k> | cand:<name> | vc:<n> | \
+       bcast:<n>"
 
 let instance ?(byz = 0) = function
   | Dac { n } ->
@@ -322,7 +329,10 @@ let reduction_for inst (mode : reduce_mode) : Graph.reduction =
    network-fairness constraints (and build their network object from
    the substrate's byz budget), shared-memory tasks mean nothing under
    them. *)
-let resolve task substrate_name =
+let resolve ?substrate task =
+  let substrate_name =
+    Option.value substrate ~default:(default_substrate task)
+  in
   let substrate, byz =
     match substrate_of_name substrate_name with
     | Some s -> s
@@ -404,8 +414,8 @@ let answer ?domains ?shards ~budget ~substrate ~reduce ~max_states ~inputs
       ~machine ~specs ~inputs ()
   in
   let of_graph graph res =
-    ({ res; cacheable = cacheable_outcome graph.Graph.stop; fuzz_prefix = None },
-     None)
+    let cacheable = cacheable_outcome graph.Graph.stop in
+    ({ res; cacheable; fuzz_prefix = None }, None)
   in
   let cut graph =
     let truncated = graph.Graph.stop = Supervisor.Truncated in
@@ -479,14 +489,15 @@ let answer ?domains ?shards ~budget ~substrate ~reduce ~max_states ~inputs
 let compute ?(budget = Supervisor.Budget.unlimited) ?(start = 0) q : computed =
   match q with
   | Verify v ->
-    let substrate, inst = resolve v.task v.substrate in
+    let substrate, inst = resolve ~substrate:v.substrate v.task in
     if List.length v.inputs <> inst.procs then
       invalid_arg
         (Fmt.str "task %s expects %d inputs, got %d" (task_label v.task)
            inst.procs (List.length v.inputs));
+    let reduce = reduction_for inst v.reduce in
     fst
-      (answer ~domains:1 ~budget ~substrate ~reduce:(reduction_for inst v.reduce)
-         ~max_states:v.max_states ~inputs:(values v.inputs) inst v.question)
+      (answer ~domains:1 ~budget ~substrate ~reduce ~max_states:v.max_states
+         ~inputs:(values v.inputs) inst v.question)
   | Fuzz f ->
     let target = Lbsa_fuzz.Targets.spec_target f.target in
     let report =
@@ -541,9 +552,7 @@ type checked = {
    explorer. *)
 let check ?(budget = Supervisor.Budget.unlimited) ?(domains = 0) ?shards
     ~question ~max_states ~reduce ?substrate task =
-  let substrate, inst =
-    resolve task (Option.value substrate ~default:(default_substrate task))
-  in
+  let substrate, inst = resolve ?substrate task in
   let reduce = reduction_for inst reduce in
   let explorer = if domains <= 0 then None else Some domains in
   match (question, input_family task inst) with

@@ -1,5 +1,6 @@
 (** The verification-service API: a pure-data query language, a
-    canonical content-address per query, and the cold compute path.
+    canonical content-address per query, the task registry, and the
+    cold compute path.
 
     Every front-end — the unix-socket daemon in {!Daemon}, the CLI's
     [lbsa query], later HTTP or batch-file backends — speaks this module
@@ -159,8 +160,9 @@ val default_inputs : task -> int list
 
 val reduction_for : instance -> reduce_mode -> Lbsa_modelcheck.Graph.reduction
 
-val resolve : task -> string -> Substrate.t * instance
-(** The named substrate and the instance built on it.  Raises
+val resolve : ?substrate:string -> task -> Substrate.t * instance
+(** The named substrate (default {!default_substrate}) and the instance
+    built on it.  Raises
     [Invalid_argument] on unknown substrate syntax or when the task and
     the substrate belong to different families (shared memory vs
     message passing). *)

@@ -33,7 +33,8 @@ let bugfix_rows =
     ("check foo", "usage errors exit 3 (was cmdliner's 124)");
     ("query dac:x", "usage errors exit 3 (was cmdliner's 124)");
     ("explore foo:1", "usage errors exit 3 (was cmdliner's 124)");
-    ("fingerprint -n 3 --inputs 1,x", "usage errors exit 3 (was cmdliner's 124)");
+    ( "fingerprint -n 3 --inputs 1,x",
+      "usage errors exit 3 (was cmdliner's 124)" );
   ]
 
 let reduce_modes = [ "none"; "sym"; "sym+sleep" ]
@@ -48,10 +49,14 @@ let check_rows =
   let tasks =
     [ "dac -n 3"; "consensus -m 2"; "kset -m 2 -k 2" ]
     @ List.map (fun c -> "candidate --name " ^ c) candidates
-    @ [ "vc -n 2"; "vc -n 2 --live"; "bcast -n 2 --live"; "dac -n 3 --max-states 5" ]
+    @ [
+        "vc -n 2"; "vc -n 2 --live"; "bcast -n 2 --live";
+        "dac -n 3 --max-states 5";
+      ]
   in
   List.concat_map
-    (fun t -> List.map (fun r -> Fmt.str "check %s --reduce %s" t r) reduce_modes)
+    (fun t ->
+      List.map (fun r -> Fmt.str "check %s --reduce %s" t r) reduce_modes)
     tasks
 
 let rows =
@@ -75,7 +80,8 @@ let rows =
 (* Explore's telemetry lines that vary between runs or machines: wall
    clock, throughput, resident memory, the auto-chosen domain count and
    the work-stealing count it drives. *)
-let masked = [ "wall_s="; "states_per_sec="; "peak_rss_kb="; "domains="; "steals=" ]
+let masked =
+  [ "wall_s="; "states_per_sec="; "peak_rss_kb="; "domains="; "steals=" ]
 
 let mask line =
   match List.find_opt (fun p -> String.starts_with ~prefix:p line) masked with
@@ -123,6 +129,7 @@ let () =
   Alcotest.run "cli_golden"
     [
       ( "matrix",
-        List.map (fun args -> Alcotest.test_case args `Quick (test_row args)) rows
-      );
+        List.map
+          (fun args -> Alcotest.test_case args `Quick (test_row args))
+          rows );
     ]

@@ -874,6 +874,58 @@ let test_cli_fingerprint_pins_parameters () =
 
 (* --- suite --------------------------------------------------------------- *)
 
+(* --- the task registry ---------------------------------------------------- *)
+
+let registry_tasks =
+  [
+    Serve_api.Dac { n = 3 }; Serve_api.Consensus { m = 2 };
+    Serve_api.Kset { m = 2; k = 2 }; Serve_api.Vc { n = 2 };
+    Serve_api.Bcast { n = 2 };
+  ]
+  @ List.map (fun name -> Serve_api.Candidate { name }) Serve_api.candidate_names
+
+let test_task_syntax_round_trips () =
+  List.iter
+    (fun t ->
+      let label = Serve_api.task_label t in
+      if Serve_api.task_of_string label <> Ok t then
+        Alcotest.failf "%s does not parse back to itself" label)
+    registry_tasks;
+  List.iter
+    (fun s ->
+      match Serve_api.task_of_string s with
+      | Ok _ -> Alcotest.failf "%S accepted" s
+      | Error _ -> ())
+    [ "dac:1"; "dac:x"; "cand:no-such"; "of:3:2"; "kset:2" ]
+
+(* `lbsa check` and the daemon answer through the same code: the check
+   of a task renders exactly what [compute] renders for the vector the
+   check reports, under every question the check can ask. *)
+let test_check_equals_compute () =
+  List.iter
+    (fun task ->
+      List.iter
+        (fun question ->
+          let c =
+            Serve_api.check ~question ~max_states ~reduce:`Sym task
+          in
+          let inputs =
+            match c.Serve_api.answer with
+            | Serve_api.Verdict v -> v.Serve_api.v_inputs
+            | _ -> Serve_api.default_inputs task
+          in
+          let served =
+            (Serve_api.compute (verify ~question ~reduce:`Sym ~inputs task))
+              .Serve_api.res
+          in
+          Alcotest.(check string)
+            (Fmt.str "%s %s" (Serve_api.task_label task)
+               (Serve_api.question_label question))
+            (Serve_api.render served)
+            (Serve_api.render c.Serve_api.answer))
+        [ Serve_api.Solve; Serve_api.Live ])
+    registry_tasks
+
 let () =
   Alcotest.run "serve"
     [
@@ -882,6 +934,13 @@ let () =
           Alcotest.test_case "canonical golden pin" `Quick test_canonical_golden;
           Alcotest.test_case "parameters separate keys" `Quick
             test_key_separation;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "task syntax round-trips" `Quick
+            test_task_syntax_round_trips;
+          Alcotest.test_case "check equals compute" `Quick
+            test_check_equals_compute;
         ] );
       ( "store",
         [
