@@ -467,11 +467,10 @@ let solve kind n m k max_states stats rmode d shards spill_dir spill_threshold
      rejects with the partial-outcome exit code 2: the checkpointed
      work is intact and resumable under the original parameters. *)
   let name =
-    match task with
-    | Serve_api.Dac { n } -> Fmt.str "dac n=%d" n
-    | Serve_api.Consensus { m } -> Fmt.str "consensus m=%d" m
-    | Serve_api.Kset { m; k } -> Fmt.str "kset m=%d k=%d" m k
-    | t -> Serve_api.task_label t
+    match kind with
+    | `Dac -> Fmt.str "dac n=%d" n
+    | `Consensus -> Fmt.str "consensus m=%d" m
+    | `Kset -> Fmt.str "kset m=%d k=%d" m k
   in
   let label =
     Fmt.str "solve %s inputs=%a reduce=%s" name

@@ -157,9 +157,8 @@ let key q = Fnv.to_hex (Fnv.string (canonical q))
 (* Everything a front-end needs to ask about a task lives here: its
    [dac:<n>]-style syntax, its instance (machine, object specs, checker
    flavor, certified symmetry group, frozen-object hook), its default
-   input vector, its input family and its reduction.  The CLI's check,
-   solve, valence, explore and fingerprint commands, the daemon and the
-   benchmark all read tasks from this one place. *)
+   input vector, its input family and its reduction.  The CLI and the
+   daemon read tasks from this one place. *)
 
 type flavor = Check_dac | Check_consensus | Check_kset of int
 
@@ -200,13 +199,14 @@ let candidates =
 
 let candidate_names = List.map fst candidates
 
+let unknown_candidate name =
+  Fmt.str "unknown candidate %S; known: %s" name
+    (String.concat ", " candidate_names)
+
 let candidate name =
   match List.assoc_opt name candidates with
   | Some c -> c
-  | None ->
-    invalid_arg
-      (Fmt.str "unknown candidate %S; known: %s" name
-         (String.concat ", " candidate_names))
+  | None -> invalid_arg (unknown_candidate name)
 
 let task_of_string s =
   let int_ge lo v k =
@@ -223,10 +223,7 @@ let task_of_string s =
   | "cand" :: (_ :: _ as rest) | "candidate" :: (_ :: _ as rest) ->
     let name = String.concat ":" rest in
     if List.mem name candidate_names then Ok (Candidate { name })
-    else
-      Error
-        (Fmt.str "unknown candidate %S; known: %s" name
-           (String.concat ", " candidate_names))
+    else Error (unknown_candidate name)
   | [ "vc"; n ] -> int_ge 2 n (fun n -> Vc { n })
   | [ "bcast"; n ] -> int_ge 1 n (fun n -> Bcast { n })
   | _ ->
