@@ -1169,9 +1169,9 @@ let run_json () =
     else Sys.remove path
   in
   (try rm_rf serve_dir with Sys_error _ | Unix.Unix_error _ -> ());
-  (* Out-of-core explorer.  Shard sweep and spilled run on a mid-size
-     obstruction-free case (of:3:2, ~105k states): every run must end
-     Done with the same structural fingerprint, the spilled run must
+  (* Out-of-core explorer.  A resident and a spilled run on a mid-size
+     obstruction-free case (of:3:2, ~105k states): both must end Done
+     with the same structural fingerprint, the spilled run must
      actually write segments, and `explore` must remove its own spill
      directory once the graph completes.  The >= 1e7-state big case
      takes minutes of wall and gigabytes of spill, so it only runs when
@@ -1183,20 +1183,11 @@ let run_json () =
     d
   in
   let ooc_case = "of:3:2" in
-  let ooc_sweep =
-    List.map
-      (fun s ->
-        ( s,
-          explore_sub [ ooc_case; "--shards"; string_of_int s; "--fingerprint" ]
-        ))
-      [ 1; 4; 16; 64 ]
-  in
+  let ooc_resident = explore_sub [ ooc_case; "--fingerprint" ] in
   let ooc_spilled =
     explore_sub
       [
         ooc_case;
-        "--shards";
-        "4";
         "--spill-dir";
         Filename.concat ooc_dir "spill";
         "--spill-threshold";
@@ -1204,26 +1195,23 @@ let run_json () =
         "--fingerprint";
       ]
   in
-  let ooc_fp = kv_s (List.assoc 1 ooc_sweep) "fingerprint" in
   let ooc_fingerprints_equal =
-    List.for_all
-      (fun (_, kv) -> String.equal (kv_s kv "fingerprint") ooc_fp)
-      ooc_sweep
-    && String.equal (kv_s ooc_spilled "fingerprint") ooc_fp
+    String.equal
+      (kv_s ooc_resident "fingerprint")
+      (kv_s ooc_spilled "fingerprint")
   in
   let ooc_outcomes_done =
-    List.for_all (fun (_, kv) -> kv_s kv "outcome" = "done") ooc_sweep
-    && kv_s ooc_spilled "outcome" = "done"
+    kv_s ooc_resident "outcome" = "done" && kv_s ooc_spilled "outcome" = "done"
   in
   let ooc_spill_engaged = kv_i ooc_spilled "spill_segments" > 0 in
   let ooc_spill_cleaned =
     not (Sys.file_exists (Filename.concat ooc_dir "spill"))
   in
-  (* The sharded+spilled explorer must agree with the seed CMap oracle
+  (* The spilled explorer must agree with the seed CMap oracle
      node-for-node on dac:3, and its solvability verdict with the
      resident run from the reduction section above. *)
   let ooc_verdict =
-    Solvability.check_dac ~domains:1 ~shards:4
+    Solvability.check_dac ~domains:1
       ~spill:
         {
           Cgraph.spill_dir = Filename.concat ooc_dir "oracle-spill";
@@ -1237,7 +1225,7 @@ let run_json () =
   in
   let ooc_oracle_agrees =
     let g =
-      Cgraph.build ~domains:1 ~shards:4
+      Cgraph.build ~domains:1
         ~spill:
           {
             Cgraph.spill_dir = Filename.concat ooc_dir "oracle-spill2";
@@ -1258,8 +1246,6 @@ let run_json () =
              "of:4:2";
              "--max-states";
              "40000000";
-             "--shards";
-             "64";
              "--spill-dir";
              Filename.concat ooc_dir "big-spill";
              "--spill-threshold";
@@ -1378,14 +1364,11 @@ let run_json () =
     serve_stats.Serve_wire.st_queries serve_stats.Serve_wire.st_hits_mem
     serve_stats.Serve_wire.st_hits_store serve_stats.Serve_wire.st_computed
     serve_stats.Serve_wire.st_queue_peak;
-  List.iter
-    (fun (s, kv) ->
-      Fmt.pr
-        "ooc %s shards=%-2d  %.0f states/s, wall %.2f s, peak RSS %d kB, %d \
-         steals@."
-        ooc_case s (kv_f kv "states_per_sec") (kv_f kv "wall_s")
-        (kv_i kv "peak_rss_kb") (kv_i kv "steals"))
-    ooc_sweep;
+  Fmt.pr "ooc %s resident: %.0f states/s, wall %.2f s, peak RSS %d kB@."
+    ooc_case
+    (kv_f ooc_resident "states_per_sec")
+    (kv_f ooc_resident "wall_s")
+    (kv_i ooc_resident "peak_rss_kb");
   Fmt.pr
     "ooc %s spilled: %d segments / %d bytes on disk, %d faults, peak RSS %d \
      kB; fingerprints %s, oracle %s@."
@@ -1496,7 +1479,7 @@ let run_json () =
   let oc = open_out "BENCH_verify.json" in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
-  p "  \"schema\": \"lbsa-bench-verify/7\",\n";
+  p "  \"schema\": \"lbsa-bench-verify/8\",\n";
   p
     "  \"explore\": { \"case\": \"dac:3\", \"states\": %d, \
      \"states_per_sec\": %.0f, \"domains\": %d, \"build_ms\": %.3f, \
@@ -1576,20 +1559,17 @@ let run_json () =
     (t_vc_safety *. 1e3) (t_vc_live *. 1e3) vc_report.Liveness.sccs
     vc_report.Liveness.cyclic_sccs vc_report.Liveness.fair_sccs vc_livelock
     lasso_prefix lasso_cycle lasso_valid bcast_live;
-  p "  \"out_of_core\": { \"sweep_case\": %S, \"cores_available\": %d,\n"
+  p "  \"out_of_core\": { \"case\": %S, \"cores_available\": %d,\n"
     ooc_case cores;
-  p "    \"shard_sweep\": {\n";
-  List.iteri
-    (fun i (s, kv) ->
-      p
-        "      \"%d\": { \"states\": %d, \"states_per_sec\": %.1f, \
-         \"wall_s\": %.3f, \"peak_rss_kb\": %d, \"steals\": %d }%s\n"
-        s (kv_i kv "states") (kv_f kv "states_per_sec") (kv_f kv "wall_s")
-        (kv_i kv "peak_rss_kb") (kv_i kv "steals")
-        (if i = List.length ooc_sweep - 1 then "" else ","))
-    ooc_sweep;
   p
-    "    }, \"spilled\": { \"shards\": 4, \"spill_threshold\": 20000, \
+    "    \"resident\": { \"states\": %d, \"states_per_sec\": %.1f, \
+     \"wall_s\": %.3f, \"peak_rss_kb\": %d },\n"
+    (kv_i ooc_resident "states")
+    (kv_f ooc_resident "states_per_sec")
+    (kv_f ooc_resident "wall_s")
+    (kv_i ooc_resident "peak_rss_kb");
+  p
+    "    \"spilled\": { \"spill_threshold\": 20000, \
      \"states\": %d, \"states_per_sec\": %.1f, \"spill_segments\": %d, \
      \"spill_bytes\": %d, \"seg_faults\": %d, \"frozen_keys\": %d, \
      \"peak_rss_kb\": %d },\n"
@@ -1609,8 +1589,8 @@ let run_json () =
   (match ooc_big with
   | Some kv ->
     p
-      "    \"big\": { \"case\": \"of:4:2\", \"skipped\": false, \"shards\": \
-       64, \"spill_threshold\": 2000000, \"states\": %d, \
+      "    \"big\": { \"case\": \"of:4:2\", \"skipped\": false, \
+       \"spill_threshold\": 2000000, \"states\": %d, \
        \"states_per_sec\": %.1f, \"wall_s\": %.1f, \"peak_rss_kb\": %d, \
        \"spill_segments\": %d, \"spill_bytes\": %d, \"outcome\": %S, \
        \"min_states_target\": 10000000, \"reached_target\": %b } }\n"

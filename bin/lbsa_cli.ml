@@ -151,17 +151,6 @@ let pp_task ppf t = Fmt.string ppf (Serve_api.task_label t)
 
 (* --- out-of-core exploration ------------------------------------------ *)
 
-let shards_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "shards" ] ~docv:"P"
-        ~doc:
-          "Dedup-table shards (a power of two up to 4096), routed by the \
-           high bits of the configuration hash so each shard grows \
-           independently.  The explored graph — node ids, edges, verdict — \
-           is identical for every value.")
-
 let spill_dir_arg =
   Arg.(
     value
@@ -379,13 +368,13 @@ let report_witness = function
    query` prints the same answer.  A candidate is expected to fail its
    task, so its exit code reads 0 = failed as expected, 1 = unexpectedly
    passed, 2 = partial; a definitive failure also gets a witness. *)
-let check kind n m k name max_states stats domains rmode shards deadline chaos
+let check kind n m k name max_states stats domains rmode deadline chaos
     substrate live =
   let budget = mk_budget ?deadline ~chaos () in
   let task = task_of_flags kind ~n ~m ~k ~name in
   let question = if live then Serve_api.Live else Serve_api.Solve in
   match
-    Serve_api.check ~budget ~domains ~shards ~question ~max_states
+    Serve_api.check ~budget ~domains ~question ~max_states
       ~reduce:rmode ?substrate task
   with
   | exception Invalid_argument msg ->
@@ -438,8 +427,8 @@ let check_cmd =
           search) instead.")
     Term.(
       const check $ task $ n_arg $ m_arg $ k_arg $ cand_name $ max_states_arg
-      $ stats_arg $ check_domains_arg $ reduce_arg $ shards_arg $ deadline_arg
-      $ chaos_arg $ substrate_arg $ live_arg)
+      $ stats_arg $ check_domains_arg $ reduce_arg $ deadline_arg $ chaos_arg
+      $ substrate_arg $ live_arg)
 
 (* --- solve -------------------------------------------------------------- *)
 
@@ -449,7 +438,7 @@ let check_cmd =
    stdout carries only the verdict (checkpoint notes go to stderr), so
    an interrupted-then-resumed run prints byte-for-byte what the
    uninterrupted run prints. *)
-let solve kind n m k max_states stats rmode d shards spill_dir spill_threshold
+let solve kind n m k max_states stats rmode d spill_dir spill_threshold
     deadline chaos io_chaos ckpt_file resume_file inputs =
   arm_io_chaos io_chaos;
   let budget = mk_budget ?deadline ~chaos () in
@@ -513,7 +502,7 @@ let solve kind n m k max_states stats rmode d shards spill_dir spill_threshold
     let v =
       Serve_api.solvability inst ~max_states ?domains:(explorer_domains d)
         ~budget ~reduce:(Serve_api.reduction_for inst rmode)
-        ?resume:(Option.map Checkpoint.thaw resume) ~shards ?spill ~inputs ()
+        ?resume:(Option.map Checkpoint.thaw resume) ?spill ~inputs ()
     in
     (match (ckpt_file, v.Solvability.suspended) with
     | Some file, Some s when Supervisor.is_partial v.Solvability.outcome ->
@@ -542,14 +531,14 @@ let solve_cmd =
           continues it to the same verdict an uninterrupted run prints.")
     Term.(
       const solve $ task $ n_arg $ m_arg $ k_arg $ max_states_arg $ stats_arg
-      $ reduce_arg $ explorer_domains_arg $ shards_arg $ spill_dir_arg
-      $ spill_threshold_arg $ deadline_arg $ chaos_arg $ io_chaos_arg
+      $ reduce_arg $ explorer_domains_arg $ spill_dir_arg $ spill_threshold_arg
+      $ deadline_arg $ chaos_arg $ io_chaos_arg
       $ checkpoint_arg $ resume_arg $ inputs_arg)
 
 (* --- valence ------------------------------------------------------------ *)
 
 (* The consensus and dac protocols, or any candidate. *)
-let valence name n m max_states stats rmode shards spill_dir spill_threshold =
+let valence name n m max_states stats rmode spill_dir spill_threshold =
   let spill = mk_spill spill_dir spill_threshold in
   let task =
     match name with
@@ -570,7 +559,7 @@ let valence name n m max_states stats rmode shards spill_dir spill_threshold =
     let inputs = values (Serve_api.default_inputs task) in
     let graph =
       Cgraph.build ~max_states ~reduce:(Serve_api.reduction_for inst rmode)
-        ~shards ?spill ~machine ~specs ~inputs ()
+        ?spill ~machine ~specs ~inputs ()
     in
     if stats then Fmt.pr "%a@." Cgraph.pp_stats (Cgraph.stats graph);
     let a = Valence.analyze graph in
@@ -614,7 +603,7 @@ let valence_cmd =
        ~doc:"Compute the valence structure of a protocol's configuration graph.")
     Term.(
       const valence $ proto_name $ n_arg $ m_arg $ max_states_arg $ stats_arg
-      $ reduce_arg $ shards_arg $ spill_dir_arg $ spill_threshold_arg)
+      $ reduce_arg $ spill_dir_arg $ spill_threshold_arg)
 
 (* --- explore ------------------------------------------------------------ *)
 
@@ -668,8 +657,7 @@ let peak_rss_kb () =
 (* The structural fold behind both graph fingerprints (explore's and
    `lbsa fingerprint`'s): per-node [Config.hash] in id order, then each
    node's (pid, target) out-steps.  Intern ids never enter, so the value
-   is identical across processes, shard counts, domain counts and spill
-   settings. *)
+   is identical across processes, domain counts and spill settings. *)
 let hash_step h k = Value.hash_combine h k land max_int
 
 let graph_hash graph =
@@ -681,8 +669,8 @@ let graph_hash graph =
   done;
   !h
 
-let explore task max_states rmode d shards spill_dir spill_threshold deadline
-    chaos want_fp want_stats =
+let explore task max_states rmode d spill_dir spill_threshold deadline chaos
+    want_fp want_stats =
   let budget = mk_budget ?deadline ~chaos () in
   let spill = mk_spill spill_dir spill_threshold in
   let substrate, inst, inputs =
@@ -708,7 +696,7 @@ let explore task max_states rmode d shards spill_dir spill_threshold deadline
   in
   let graph =
     Cgraph.build ~max_states ?domains:(explorer_domains d) ~budget ~substrate
-      ~reduce:(Serve_api.reduction_for inst rmode) ~shards ?spill
+      ~reduce:(Serve_api.reduction_for inst rmode) ?spill
       ~machine:inst.Serve_api.machine ~specs:inst.Serve_api.specs ~inputs ()
   in
   let s = Cgraph.stats graph in
@@ -732,8 +720,6 @@ let explore task max_states rmode d shards spill_dir spill_threshold deadline
   Fmt.pr "wall_s=%.6f@." s.Cgraph.wall_s;
   Fmt.pr "states_per_sec=%.1f@." s.Cgraph.states_per_sec;
   Fmt.pr "domains=%d@." s.Cgraph.domains;
-  Fmt.pr "shards=%d@." s.Cgraph.shards;
-  Fmt.pr "steals=%d@." s.Cgraph.steals;
   Fmt.pr "dedup_rate=%.4f@." s.Cgraph.dedup_rate;
   Fmt.pr "spill_segments=%d@." s.Cgraph.spill.Cgraph.sp_segments;
   Fmt.pr "spill_bytes=%d@." s.Cgraph.spill.Cgraph.sp_bytes;
@@ -771,15 +757,15 @@ let explore_cmd =
     (Cmd.info "explore"
        ~doc:
          "Build one configuration graph and print machine-readable \
-          key=value telemetry (states, throughput, shard/steal/spill \
-          counters, per-process peak RSS).  The benchmark harness runs \
+          key=value telemetry (states, throughput, spill counters, \
+          per-process peak RSS).  The benchmark harness runs \
           each case through this command in a fresh process so peak-RSS \
           numbers are honest.  Exit 0 on a complete graph, 2 on a \
           partial one.")
     Term.(
       const explore $ task $ max_states_arg $ reduce_arg $ explorer_domains_arg
-      $ shards_arg $ spill_dir_arg $ spill_threshold_arg $ deadline_arg
-      $ chaos_arg $ fp $ stats_arg)
+      $ spill_dir_arg $ spill_threshold_arg $ deadline_arg $ chaos_arg $ fp
+      $ stats_arg)
 
 (* --- power / separation ------------------------------------------------- *)
 

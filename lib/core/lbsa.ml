@@ -79,7 +79,6 @@ module Canon = Lbsa_modelcheck.Canon
 module Cgraph = Lbsa_modelcheck.Graph
 module Checkpoint = Lbsa_modelcheck.Checkpoint
 module Ctbl = Lbsa_modelcheck.Ctbl
-module Ctbl_sharded = Lbsa_modelcheck.Ctbl_sharded
 module Mirror = Lbsa_modelcheck.Mirror
 module Segstore = Lbsa_modelcheck.Segstore
 module Valence = Lbsa_modelcheck.Valence

@@ -91,13 +91,8 @@ type stats = {
   frontier_sizes : int array;  (* one entry per level *)
   peak_frontier : int;
   dedup_hits : int;  (* successors that were already-known states *)
-  dedup_rate : float;  (* dedup_hits / successors generated *)
+  dedup_rate : float;  (* dedup_hits / successors generated (= edges) *)
   probe : Ctbl.probe_stats;  (* dedup-table probe traffic; zeros for build_cmap *)
-  shards : int;  (* dedup shard count the build ran with *)
-  shard_stats : Ctbl_sharded.shard_stat array;  (* per-shard occupancy/probes *)
-  steals : int;
-      (* frontier spans stolen between domains; timing-dependent
-         telemetry — the produced graph never depends on it *)
   spill : spill_stats;
   wall_s : float;
   states_per_sec : float;
@@ -163,18 +158,6 @@ let pp_reduction_stats ppf r =
   Fmt.pf ppf "reduction: %s (group order %d, %d canonized, %d ample nodes, %d steps pruned)"
     r.rmode r.group_order r.canonized r.ample_nodes r.ample_pruned
 
-let pp_sharding ppf s =
-  if s.shards > 1 || s.steals > 0 then begin
-    let occupied =
-      Array.fold_left
-        (fun a (sh : Ctbl_sharded.shard_stat) ->
-          a + if sh.Ctbl_sharded.ss_size > 0 then 1 else 0)
-        0 s.shard_stats
-    in
-    Fmt.pf ppf "@,shards: %d (%d occupied), steals: %d" s.shards occupied
-      s.steals
-  end
-
 let pp_spill ppf sp =
   if sp.sp_segments > 0 then
     Fmt.pf ppf
@@ -187,17 +170,16 @@ let pp_stats ppf s =
     "@[<v>states: %d%s@,edges: %d@,levels: %d (peak frontier %d)@,\
      dedup: %d hits (%.1f%% of %d successors)@,\
      probes: %d (%d skipped on hash, %d equal-confirms)@,\
-     wall: %.3f s (%.0f states/s, %d domain%s)%a%a%a@]"
+     wall: %.3f s (%.0f states/s, %d domain%s)%a%a@]"
     s.states
     (if s.truncated then " [TRUNCATED]" else "")
-    s.edges s.levels s.peak_frontier s.dedup_hits (100. *. s.dedup_rate)
-    (s.dedup_hits + s.states - 1 + if s.truncated then 1 else 0)
+    s.edges s.levels s.peak_frontier s.dedup_hits (100. *. s.dedup_rate) s.edges
     s.probe.Ctbl.probes s.probe.Ctbl.hash_skips s.probe.Ctbl.equal_confirms
     s.wall_s s.states_per_sec s.domains
     (if s.domains = 1 then "" else "s")
     (fun ppf r ->
       if r.rmode <> "none" then Fmt.pf ppf "@,%a" pp_reduction_stats r)
-    s.reduction pp_sharding s pp_spill s.spill
+    s.reduction pp_spill s.spill
 
 (* --- small growable arrays (flat storage while the size is unknown) --- *)
 
@@ -221,18 +203,6 @@ end
 
 (* --- parallel frontier expansion -------------------------------------- *)
 
-(* All successors of one configuration, grouped per pid (one list cell
-   and pair per *process*, not per successor), in the deterministic order
-   the seed BFS used: pids ascending, object branches in spec order.
-   With a nontrivial [reduce] this is the single shared reduction step
-   of both explorers ([build] and the [build_cmap] oracle, which must
-   stay graph-identical): the ample rule first restricts expansion to
-   the commit step when one exists, then every successor is flushed
-   (poised decide/aborts committed in place) and replaced by its
-   canonical orbit representative.  Returns the per-pid branch lists
-   plus this node's reduction counters: successors canonized, and
-   steps short-circuited by commit pruning (suppressed sibling
-   expansions plus flushed decide/aborts). *)
 (* Normalize one configuration under [reduce]: flush poised
    decide/abort steps into it (sleep layer), then replace it by its
    canonical orbit representative (symmetry layer).  Flushing first is
@@ -249,6 +219,18 @@ let reduce_config ~reduce ~machine config =
     let c = Canon.canonical reduce.canon config in
     (c, flushed, if c != config then 1 else 0)
 
+(* All successors of one configuration, grouped per pid (one list cell
+   and pair per *process*, not per successor), in the deterministic order
+   the seed BFS used: pids ascending, object branches in spec order.
+   With a nontrivial [reduce] this is the single shared reduction step
+   of both explorers ([build] and the [build_cmap] oracle, which must
+   stay graph-identical): the ample rule first restricts expansion to
+   the commit step when one exists, then every successor is flushed
+   (poised decide/aborts committed in place) and replaced by its
+   canonical orbit representative.  Returns the per-pid branch lists
+   plus this node's reduction counters: successors canonized, and
+   steps short-circuited by commit pruning (suppressed sibling
+   expansions plus flushed decide/aborts). *)
 let successors ?(substrate = Substrate.shm) ~reduce ~machine ~specs config =
   let ample =
     if reduce.sleep then Canon.commit_pid ~machine ?frozen:reduce.frozen config
@@ -290,47 +272,30 @@ let default_domains =
 (* Below this frontier size the spawn/join overhead outweighs the work. *)
 let parallel_threshold = 256
 
-(* Granule of the work-stealing loop: a worker claims this many frontier
-   indices at a time from its own span. *)
-let steal_block = 64
+(* Granule of the shared cursor: a worker claims this many frontier
+   indices at a time. *)
+let block = 64
 
-(* One worker's span of unclaimed frontier indices.  [lo] advances as
-   the owner claims blocks; [hi] retreats when a thief steals the upper
-   half.  The lock covers both fields; every deque operation is a few
-   loads and stores, so contention is negligible next to successor
-   computation. *)
-type deque = { mutable dq_lo : int; mutable dq_hi : int; dq_lock : Mutex.t }
+(* Expand the first [n] entries of the frontier buffer; [Ok out] has
+   node [i]'s successor list at [out.(i)].
 
-(* Expand the first [n] entries of the frontier buffer; [Ok (out,
-   steals)] has node [i]'s successor list at [out.(i)].
-
-   Scheduling is work-stealing: the frontier is split into [d] initial
-   spans (one per domain), each worker claims [steal_block]-sized blocks
-   from the front of its own span, and a worker whose span is empty
-   steals the upper half of a victim's remaining span, installs it as
-   its own and continues.  Stealing only moves *which worker* computes
-   an index, never what is computed or where it lands: [out.(i)] is a
-   pure function of [frontier.(i)], every index is written exactly once,
-   and the caller's merge reads [out] sequentially in frontier order —
-   so the produced graph is bit-identical for any domain count and any
-   steal interleaving, exactly as with static chunking.  [Domain.join]
-   publishes the writes.
-
-   Termination: an atomic [remaining] counts unprocessed indices, and a
-   worker whose own span and every victim's span are empty spins until
-   it reaches zero (some worker is still computing the last claimed
-   blocks) or a failure is flagged.
+   Scheduling is one shared atomic cursor: each worker claims the next
+   [block] frontier indices with [Atomic.fetch_and_add] until the cursor
+   passes [n].  The cursor only decides *which worker* computes an
+   index, never what is computed or where it lands: [out.(i)] is a pure
+   function of [frontier.(i)], every index is claimed exactly once, and
+   the caller's merge reads [out] sequentially in frontier order — so
+   the produced graph is bit-identical for any domain count and any
+   claim interleaving.  [Domain.join] publishes the writes.
 
    Fault isolation: each worker loop runs under [Supervisor.run_shard],
    which retries a crashed attempt with bounded backoff.  A worker
    records its claimed block in [claimed.(k)] before processing, so a
    retry first reprocesses that block (idempotent: pure recompute into
-   the same disjoint slots) before claiming more.  [remaining] is
-   decremented once per completed block, after processing; injected
-   chaos faults fire at attempt entry — before any claim — so a
-   transient crash never leaves the counter torn.  A deterministic
-   crash (a raising machine) exhausts its retries, flags [failed], and
-   every other worker exits; the level is then abandoned whole.
+   the same disjoint slots) before claiming more; injected chaos faults
+   fire at attempt entry, before any claim.  A deterministic crash (a
+   raising machine) exhausts its retries, flags [failed], and every
+   other worker stops claiming; the level is then abandoned whole.
    [Error (worker, exn, attempts)] reports the lowest such worker. *)
 let expand ~domains ~substrate ~reduce ~machine ~specs frontier n =
   let out = Array.make n ([], 0, 0) in
@@ -342,105 +307,34 @@ let expand ~domains ~substrate ~reduce ~machine ~specs frontier n =
   let d = min domains n in
   if d <= 1 || n < parallel_threshold then
     match Supervisor.run_shard ~worker:0 (fun () -> process 0 n) with
-    | Ok () -> Ok (out, 0)
+    | Ok () -> Ok out
     | Error (exn, attempts) -> Error (0, exn, attempts)
   else begin
-    let chunk = (n + d - 1) / d in
-    let deques =
-      Array.init d (fun k ->
-          {
-            dq_lo = min n (k * chunk);
-            dq_hi = min n ((k + 1) * chunk);
-            dq_lock = Mutex.create ();
-          })
-    in
-    let remaining = Atomic.make n in
+    let cursor = Atomic.make 0 in
     let failed = Atomic.make false in
-    let steals = Atomic.make 0 in
-    let claimed = Array.make d None in
-    let take_own k =
-      let dq = deques.(k) in
-      Mutex.lock dq.dq_lock;
-      let r =
-        if dq.dq_lo < dq.dq_hi then begin
-          let lo = dq.dq_lo in
-          let hi = min dq.dq_hi (lo + steal_block) in
-          dq.dq_lo <- hi;
-          Some (lo, hi)
-        end
-        else None
-      in
-      Mutex.unlock dq.dq_lock;
-      r
-    in
-    let steal k =
-      let rec go i =
-        if i >= d then None
-        else begin
-          let dq = deques.((k + i) mod d) in
-          Mutex.lock dq.dq_lock;
-          let got =
-            let rem = dq.dq_hi - dq.dq_lo in
-            if rem <= 0 then None
-            else begin
-              (* Steal the upper half (the whole span when it is down
-                 to one block) — the victim keeps the work nearest its
-                 cursor. *)
-              let mid =
-                if rem <= steal_block then dq.dq_lo else dq.dq_lo + (rem / 2)
-              in
-              let r = (mid, dq.dq_hi) in
-              dq.dq_hi <- mid;
-              Some r
-            end
-          in
-          Mutex.unlock dq.dq_lock;
-          match got with
-          | Some (lo, hi) ->
-            Atomic.incr steals;
-            (* Install the stolen span as our own (only the owner ever
-               writes both ends outside a steal, and our span is empty),
-               then claim from it normally. *)
-            let own = deques.(k) in
-            Mutex.lock own.dq_lock;
-            own.dq_lo <- lo;
-            own.dq_hi <- hi;
-            Mutex.unlock own.dq_lock;
-            take_own k
-          | None -> go (i + 1)
-        end
-      in
-      go 1
-    in
+    (* Start index of the block worker [k] is processing, or -1. *)
+    let claimed = Array.make d (-1) in
+    let run lo = process lo (min n (lo + block)) in
     let rec worker k () =
-      (match claimed.(k) with
-      | Some (lo, hi) ->
+      if claimed.(k) >= 0 then begin
         (* A previous attempt of this worker crashed mid-block; redo it
-           (pure recompute into the same slots) before claiming more. *)
-        process lo hi;
-        ignore (Atomic.fetch_and_add remaining (lo - hi));
-        claimed.(k) <- None
-      | None -> ());
-      if Atomic.get failed then ()
-      else
-        match (match take_own k with Some b -> Some b | None -> steal k) with
-        | Some (lo, hi) ->
-          claimed.(k) <- Some (lo, hi);
-          process lo hi;
-          ignore (Atomic.fetch_and_add remaining (lo - hi));
-          claimed.(k) <- None;
+           before claiming more. *)
+        run claimed.(k);
+        claimed.(k) <- -1
+      end;
+      if not (Atomic.get failed) then begin
+        let lo = Atomic.fetch_and_add cursor block in
+        if lo < n then begin
+          claimed.(k) <- lo;
+          run lo;
+          claimed.(k) <- -1;
           worker k ()
-        | None ->
-          if Atomic.get remaining > 0 then begin
-            Domain.cpu_relax ();
-            worker k ()
-          end
+        end
+      end
     in
     let shard k =
       let r = Supervisor.run_shard ~worker:k (worker k) in
-      (match r with
-      | Error _ -> Atomic.set failed true
-      | Ok () -> ());
+      if Result.is_error r then Atomic.set failed true;
       r
     in
     let spawned =
@@ -448,17 +342,12 @@ let expand ~domains ~substrate ~reduce ~machine ~specs frontier n =
     in
     let first = shard 0 in
     let results = first :: List.map Domain.join spawned in
-    let worst = ref None in
-    List.iteri
-      (fun k r ->
-        match r with
-        | Error (exn, attempts) when !worst = None ->
-          worst := Some (k, exn, attempts)
-        | _ -> ())
-      results;
-    match !worst with
-    | None -> Ok (out, Atomic.get steals)
-    | Some f -> Error f
+    let rec lowest k = function
+      | [] -> Ok out
+      | Error (exn, attempts) :: _ -> Error (k, exn, attempts)
+      | Ok () :: rest -> lowest (k + 1) rest
+    in
+    lowest 0 results
   end
 
 (* --- construction ------------------------------------------------------ *)
@@ -473,7 +362,7 @@ let hole_edge = { pid = 0; event = Config.Abort_event { pid = 0 }; target = 0 }
 
 let build ?(max_states = default_max_states) ?domains
     ?(budget = Supervisor.Budget.unlimited) ?(substrate = Substrate.shm)
-    ?(reduce = no_reduction) ?resume ?(shards = 1) ?spill
+    ?(reduce = no_reduction) ?resume ?spill
     ~(machine : Machine.t) ~(specs : Lbsa_spec.Obj_spec.t array) ~inputs () =
   let domains =
     match domains with
@@ -505,13 +394,12 @@ let build ?(max_states = default_max_states) ?domains
     if id >= !n_base then nodes.Dyn.arr.(id - !n_base)
     else Segstore.node (Option.get store) id
   in
-  let tbl = Ctbl_sharded.create ~shards ~resolve:config_of 16 in
+  let tbl = Ctbl.create ~resolve:config_of 16 in
   let dedup_hits = ref 0 in
   let n_succs = ref 0 in
   let canonized = ref 0 in
   let ample_nodes = ref 0 in
   let ample_pruned = ref 0 in
-  let steals = ref 0 in
   let frontier_sizes = Dyn.create () in
   (* Two frontier buffers, swapped each level; no per-level copying.
      Hashing a candidate successor is [Config.hash]: a fold over the
@@ -535,7 +423,7 @@ let build ?(max_states = default_max_states) ?domains
         (substrate.Substrate.initial ~machine ~specs ~inputs)
     in
     ignore
-      (Ctbl_sharded.find_or_add tbl init ~hash:(Config.hash init)
+      (Ctbl.find_or_add tbl init ~hash:(Config.hash init)
          ~if_absent:register)
   | Some s ->
     (* Rebuild the dedup table and buffers from a suspended prefix.  The
@@ -557,7 +445,7 @@ let build ?(max_states = default_max_states) ?domains
       (fun id config ->
         Dyn.push nodes config;
         ignore
-          (Ctbl_sharded.find_or_add tbl config ~hash:(Config.hash config)
+          (Ctbl.find_or_add tbl config ~hash:(Config.hash config)
              ~if_absent:(fun _ -> id));
         if id >= s.s_expanded then Dyn.push !nxt config)
       s.s_nodes;
@@ -616,7 +504,7 @@ let build ?(max_states = default_max_states) ?domains
       Array.fill edges.Dyn.arr (edges.Dyn.len - eshift) eshift hole_edge;
       edges.Dyn.len <- edges.Dyn.len - eshift;
       e_base := !e_cut;
-      ignore (Ctbl_sharded.freeze_below tbl ~id_limit:cut_to)
+      ignore (Ctbl.freeze_below tbl ~id_limit:cut_to)
     | _ -> ()
   in
   let stop = ref Supervisor.Done in
@@ -646,8 +534,7 @@ let build ?(max_states = default_max_states) ?domains
            nodes stay frontier), so the surviving prefix is still a
            level boundary and domain-count-deterministic. *)
         stop := Supervisor.Worker_failed { worker; exn; attempts }
-      | Ok (succs, level_steals) ->
-        steals := !steals + level_steals;
+      | Ok succs ->
         Dyn.push frontier_sizes f.Dyn.len;
         Array.iteri
           (fun _i (succ_list, n_canon, n_pruned) ->
@@ -664,12 +551,12 @@ let build ?(max_states = default_max_states) ?domains
                   (fun ((config' : Config.t), event) ->
                     incr n_succs;
                     let hash = Config.hash config' in
-                    let before = Ctbl_sharded.length tbl in
+                    let before = Ctbl.length tbl in
                     let target =
-                      Ctbl_sharded.find_or_add tbl config' ~hash
+                      Ctbl.find_or_add tbl config' ~hash
                         ~if_absent:register
                     in
-                    if Ctbl_sharded.length tbl = before then incr dedup_hits;
+                    if Ctbl.length tbl = before then incr dedup_hits;
                     Dyn.push edges { pid; event; target };
                     Dyn.push targets (pack_step ~pid ~target))
                   branches)
@@ -727,8 +614,8 @@ let build ?(max_states = default_max_states) ?domains
         sp_segments = Segstore.n_segments st;
         sp_bytes = Segstore.spilled_bytes st;
         sp_seg_faults = Segstore.faults st;
-        sp_frozen = Ctbl_sharded.frozen tbl;
-        sp_key_faults = Ctbl_sharded.faults tbl;
+        sp_frozen = Ctbl.frozen tbl;
+        sp_key_faults = Ctbl.faults tbl;
       }
   in
   let stats =
@@ -741,10 +628,7 @@ let build ?(max_states = default_max_states) ?domains
       dedup_hits = !dedup_hits;
       dedup_rate =
         (if !n_succs = 0 then 0. else float !dedup_hits /. float !n_succs);
-      probe = Ctbl_sharded.probe_stats tbl;
-      shards;
-      shard_stats = Ctbl_sharded.shard_stats tbl;
-      steals = !steals;
+      probe = Ctbl.probe_stats tbl;
       spill = spill_stats;
       wall_s;
       states_per_sec =
@@ -907,13 +791,11 @@ let build_cmap ?(max_states = default_max_states)
   let queue = Queue.create () in
   let truncated = ref false in
   let dedup_hits = ref 0 in
-  let n_succs = ref 0 in
   let canonized = ref 0 in
   let ample_nodes = ref 0 in
   let ample_pruned = ref 0 in
   Queue.add (init, 0) queue;
   let id_of config =
-    incr n_succs;
     match CMap.find_opt config !ids with
     | Some id ->
       incr dedup_hits;
@@ -973,12 +855,12 @@ let build_cmap ?(max_states = default_max_states)
       frontier_sizes = [||];
       peak_frontier = 0;
       dedup_hits = !dedup_hits;
+      (* A successor cut off by [max_states] becomes no edge and is not
+         counted: as in [build], successors generated = edges. *)
       dedup_rate =
-        (if !n_succs = 0 then 0. else float !dedup_hits /. float !n_succs);
+        (if flat.Dyn.len = 0 then 0.
+         else float !dedup_hits /. float flat.Dyn.len);
       probe = { Ctbl.probes = 0; hash_skips = 0; equal_confirms = 0 };
-      shards = 1;
-      shard_stats = [||];
-      steals = 0;
       spill = no_spill_stats;
       wall_s;
       states_per_sec = (if wall_s > 0. then float n /. wall_s else float n);

@@ -92,17 +92,13 @@ type stats = {
   frontier_sizes : int array;  (** one entry per level *)
   peak_frontier : int;
   dedup_hits : int;  (** generated successors that were already known *)
-  dedup_rate : float;  (** [dedup_hits] / successors generated *)
+  dedup_rate : float;
+      (** [dedup_hits] / successors generated; every generated successor
+          becomes exactly one edge, so that is [dedup_hits] / [edges] *)
   probe : Ctbl.probe_stats;
       (** dedup-table probe traffic — how many structural equality
           checks the stored hashes avoided; all zeros for [build_cmap],
           whose map baseline has no probe counters *)
-  shards : int;  (** dedup shard count the build ran with *)
-  shard_stats : Ctbl_sharded.shard_stat array;
-      (** per-shard occupancy and probe traffic; empty for [build_cmap] *)
-  steals : int;
-      (** frontier spans stolen between domains — timing-dependent
-          telemetry; the produced graph never depends on it *)
   spill : spill_stats;
   wall_s : float;
   states_per_sec : float;
@@ -178,7 +174,6 @@ val build :
   ?substrate:Substrate.t ->
   ?reduce:reduction ->
   ?resume:suspended ->
-  ?shards:int ->
   ?spill:spill ->
   machine:Machine.t ->
   specs:Lbsa_spec.Obj_spec.t array ->
@@ -198,8 +193,8 @@ val build :
     registered in full, so a quota-stopped graph may hold slightly more
     than [max_states] nodes — never a node with a partial edge list).
     Worker
-    exceptions are isolated and retried per chunk
-    ({!Supervisor.run_shard}); an exhausted chunk abandons its whole
+    exceptions are isolated and retried per worker
+    ({!Supervisor.run_shard}); an exhausted worker abandons its whole
     level, keeping the surviving prefix deterministic.  [reduce]
     (default {!no_reduction}) quotients and prunes the exploration; the
     reduced graph is still domain-count-deterministic and identical to
@@ -209,15 +204,11 @@ val build :
     build yields the graph the uninterrupted build would have
     produced.
 
-    [shards] (default 1; a power of two up to 4096) shards the dedup
-    table by the high bits of [Config.hash] — growth and freezing are
-    then per-shard, and the produced graph (ids, edges, truncation) is
-    identical for every shard count.  [spill] bounds resident state:
-    cold expanded nodes move to disk segments and their dedup keys are
-    frozen, again without changing the produced graph — only the
-    telemetry in {!stats} and the laziness of node access differ.  A
-    spilled graph's [suspended] (interrupt path) is materialized fully
-    in RAM when taken. *)
+    [spill] bounds resident state: cold expanded nodes move to disk
+    segments and their dedup keys are frozen, without changing the
+    produced graph — only the telemetry in {!stats} and the laziness of
+    node access differ.  A spilled graph's [suspended] (interrupt path)
+    is materialized fully in RAM when taken. *)
 
 val suspended_of_parts :
   nodes:Config.t array ->

@@ -138,10 +138,10 @@ let solo_halts ?(cache = solo_cache ()) ?(substrate = Substrate.shm) ~machine
    every process.  Liveness needs the complete graph; on a partial one
    only the safety scan runs and the verdict is partial. *)
 let check_consensus ?(max_states = Graph.default_max_states) ?domains ?budget
-    ?substrate ?reduce ?resume ?shards ?spill ~machine ~specs ~inputs () =
+    ?substrate ?reduce ?resume ?spill ~machine ~specs ~inputs () =
   let graph =
-    Graph.build ~max_states ?domains ?budget ?substrate ?reduce ?resume ?shards
-      ?spill ~machine ~specs ~inputs ()
+    Graph.build ~max_states ?domains ?budget ?substrate ?reduce ?resume ?spill
+      ~machine ~specs ~inputs ()
   in
   let states = Graph.n_nodes graph in
   let stats = Graph.stats graph in
@@ -172,10 +172,10 @@ let check_consensus ?(max_states = Graph.default_max_states) ?domains ?budget
 
 (* Exhaustive k-set agreement check. *)
 let check_kset ?(max_states = Graph.default_max_states) ?domains ?budget
-    ?substrate ?reduce ?resume ?shards ?spill ~machine ~specs ~k ~inputs () =
+    ?substrate ?reduce ?resume ?spill ~machine ~specs ~k ~inputs () =
   let graph =
-    Graph.build ~max_states ?domains ?budget ?substrate ?reduce ?resume ?shards
-      ?spill ~machine ~specs ~inputs ()
+    Graph.build ~max_states ?domains ?budget ?substrate ?reduce ?resume ?spill
+      ~machine ~specs ~inputs ()
   in
   let states = Graph.n_nodes graph in
   let stats = Graph.stats graph in
@@ -205,12 +205,12 @@ let check_kset ?(max_states = Graph.default_max_states) ?domains ?budget
    - Termination (b): from every reachable node, every q != p running
      solo decides. *)
 let check_dac ?(max_states = Graph.default_max_states) ?domains ?budget
-    ?(substrate = Substrate.shm) ?reduce ?resume ?shards ?spill ~machine ~specs
-    ~inputs () =
+    ?(substrate = Substrate.shm) ?reduce ?resume ?spill ~machine ~specs ~inputs
+    () =
   let p = Lbsa_protocols.Dac.distinguished in
   let graph =
-    Graph.build ~max_states ?domains ?budget ~substrate ?reduce ?resume ?shards
-      ?spill ~machine ~specs ~inputs ()
+    Graph.build ~max_states ?domains ?budget ~substrate ?reduce ?resume ?spill
+      ~machine ~specs ~inputs ()
   in
   let states = Graph.n_nodes graph in
   let stats = Graph.stats graph in

@@ -57,7 +57,6 @@ val check_consensus :
   ?substrate:Substrate.t ->
   ?reduce:Graph.reduction ->
   ?resume:Graph.suspended ->
-  ?shards:int ->
   ?spill:Graph.spill ->
   machine:Machine.t ->
   specs:Obj_spec.t array ->
@@ -66,11 +65,11 @@ val check_consensus :
   verdict
 (** Agreement + validity + no-abort at every node, wait-freedom of every
     process.  [max_states] defaults to [Graph.default_max_states];
-    [domains], [budget], [substrate], [reduce], [resume], [shards] and
-    [spill] are forwarded to {!Graph.build}.  A sound [reduce] (see {!Canon})
+    [domains], [budget], [substrate], [reduce], [resume] and [spill]
+    are forwarded to {!Graph.build}.  A sound [reduce] (see {!Canon})
     changes the explored graph but not the verdict's [ok]/[outcome];
-    node ids and failure messages may differ; [shards] and [spill]
-    change neither the graph nor the verdict (the liveness searches are
+    node ids and failure messages may differ; [spill] changes neither
+    the graph nor the verdict (the liveness searches are
     segment-fault-free on an out-of-core graph).  Never raises on
     truncation: a cut-short exploration yields a partial verdict
     (safety checked on the explored prefix, liveness skipped). *)
@@ -82,7 +81,6 @@ val check_kset :
   ?substrate:Substrate.t ->
   ?reduce:Graph.reduction ->
   ?resume:Graph.suspended ->
-  ?shards:int ->
   ?spill:Graph.spill ->
   machine:Machine.t ->
   specs:Obj_spec.t array ->
@@ -98,7 +96,6 @@ val check_dac :
   ?substrate:Substrate.t ->
   ?reduce:Graph.reduction ->
   ?resume:Graph.suspended ->
-  ?shards:int ->
   ?spill:Graph.spill ->
   machine:Machine.t ->
   specs:Obj_spec.t array ->

@@ -349,18 +349,18 @@ let resolve ?substrate task =
   (substrate, instance ~byz task)
 
 let solvability inst ?max_states ?domains ?budget ?substrate ?reduce ?resume
-    ?shards ?spill ~inputs () =
+    ?spill ~inputs () =
   let machine = inst.machine and specs = inst.specs in
   match inst.flavor with
   | Check_dac ->
     Solvability.check_dac ?max_states ?domains ?budget ?substrate ?reduce
-      ?resume ?shards ?spill ~machine ~specs ~inputs ()
+      ?resume ?spill ~machine ~specs ~inputs ()
   | Check_consensus ->
     Solvability.check_consensus ?max_states ?domains ?budget ?substrate
-      ?reduce ?resume ?shards ?spill ~machine ~specs ~inputs ()
+      ?reduce ?resume ?spill ~machine ~specs ~inputs ()
   | Check_kset k ->
     Solvability.check_kset ?max_states ?domains ?budget ?substrate ?reduce
-      ?resume ?shards ?spill ~machine ~specs ~k ~inputs ()
+      ?resume ?spill ~machine ~specs ~k ~inputs ()
 
 (* Witness searches always explore unreduced, so only the flavor picks
    the judge. *)
@@ -403,12 +403,12 @@ let verdict_payload (v : Solvability.verdict) =
 (* One question on one input vector, plus the solvability verdict when
    the question is [Solve].  [domains] is the explorer's parallelism,
    auto when absent. *)
-let answer ?domains ?shards ~budget ~substrate ~reduce ~max_states ~inputs
+let answer ?domains ~budget ~substrate ~reduce ~max_states ~inputs
     inst question =
   let machine = inst.machine and specs = inst.specs in
   let build () =
-    Graph.build ~max_states ?domains ?shards ~budget ~substrate ~reduce
-      ~machine ~specs ~inputs ()
+    Graph.build ~max_states ?domains ~budget ~substrate ~reduce ~machine ~specs
+      ~inputs ()
   in
   let of_graph graph res =
     let cacheable = cacheable_outcome graph.Graph.stop in
@@ -421,8 +421,8 @@ let answer ?domains ?shards ~budget ~substrate ~reduce ~max_states ~inputs
   match question with
   | Solve ->
     let verdict =
-      solvability inst ~max_states ?domains ?shards ~budget ~substrate ~reduce
-        ~inputs ()
+      solvability inst ~max_states ?domains ~budget ~substrate ~reduce ~inputs
+        ()
     in
     ( {
         res = Verdict (verdict_payload verdict);
@@ -547,8 +547,8 @@ type checked = {
    its default parallelism; [domains] > 0 fans the vectors out instead,
    one domain each.  A one-vector family hands [domains] to the
    explorer. *)
-let check ?(budget = Supervisor.Budget.unlimited) ?(domains = 0) ?shards
-    ~question ~max_states ~reduce ?substrate task =
+let check ?(budget = Supervisor.Budget.unlimited) ?(domains = 0) ~question
+    ~max_states ~reduce ?substrate task =
   let substrate, inst = resolve ?substrate task in
   let reduce = reduction_for inst reduce in
   let explorer = if domains <= 0 then None else Some domains in
@@ -559,14 +559,14 @@ let check ?(budget = Supervisor.Budget.unlimited) ?(domains = 0) ?shards
       Solvability.for_all_inputs_timed ~domains:sweep ~budget
         (fun inputs ->
           solvability inst ~max_states ?domains:inner ~budget ~substrate
-            ~reduce ?shards ~inputs ())
+            ~reduce ~inputs ())
         vectors
     in
     { answer = Verdict (verdict_payload verdict); instance = inst;
       verdict = Some verdict; family = Some family }
   | _ ->
     let c, verdict =
-      answer ?domains:explorer ?shards ~budget ~substrate ~reduce ~max_states
+      answer ?domains:explorer ~budget ~substrate ~reduce ~max_states
         ~inputs:(values (default_inputs task)) inst question
     in
     { answer = c.res; instance = inst; verdict; family = None }

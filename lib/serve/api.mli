@@ -175,7 +175,6 @@ val solvability :
   ?substrate:Substrate.t ->
   ?reduce:Lbsa_modelcheck.Graph.reduction ->
   ?resume:Lbsa_modelcheck.Graph.suspended ->
-  ?shards:int ->
   ?spill:Lbsa_modelcheck.Graph.spill ->
   inputs:Value.t array ->
   unit ->
@@ -222,7 +221,6 @@ type checked = {
 val check :
   ?budget:Supervisor.Budget.t ->
   ?domains:int ->
-  ?shards:int ->
   question:question ->
   max_states:int ->
   reduce:reduce_mode ->

@@ -227,6 +227,38 @@ let test_exploration_stats_sane () =
     (s.Cgraph.dedup_rate >= 0. && s.Cgraph.dedup_rate <= 1.);
   Alcotest.(check bool) "not truncated" true (not s.Cgraph.truncated)
 
+(* Every generated successor becomes exactly one edge, so [pp_stats]
+   reports [edges] successors — on a quota-truncated build (the one
+   `solve dac -n 3 --max-states 5 --stats` prints: 13 states, 12 edges)
+   as on a complete one, where each successor is either a dedup hit or
+   one of the [states - 1] non-initial nodes. *)
+let test_stats_successor_count () =
+  let n = 3 in
+  let machine = Dac_from_pac.machine ~n and specs = Dac_from_pac.specs ~n in
+  let inputs = [| Value.int 1; Value.int 0; Value.int 0 |] in
+  let check label ?max_states () =
+    let g = Cgraph.build ?max_states ~machine ~specs ~inputs () in
+    let s = Cgraph.stats g in
+    let dedup_line =
+      List.find
+        (String.starts_with ~prefix:"dedup:")
+        (String.split_on_char '\n' (Fmt.str "%a" Cgraph.pp_stats s))
+    in
+    Alcotest.(check string) (label ^ ": dedup line")
+      (Fmt.str "dedup: %d hits (%.1f%% of %d successors)" s.Cgraph.dedup_hits
+         (100. *. s.Cgraph.dedup_rate) s.Cgraph.edges)
+      dedup_line;
+    s
+  in
+  let cut = check "truncated" ~max_states:5 () in
+  Alcotest.(check int) "truncated: states" 13 cut.Cgraph.states;
+  Alcotest.(check int) "truncated: edges" 12 cut.Cgraph.edges;
+  Alcotest.(check int) "truncated: dedup hits" 0 cut.Cgraph.dedup_hits;
+  let full = check "complete" () in
+  Alcotest.(check bool) "complete: not truncated" false full.Cgraph.truncated;
+  Alcotest.(check int) "complete: hits + new nodes = edges" full.Cgraph.edges
+    (full.Cgraph.dedup_hits + full.Cgraph.states - 1)
+
 let test_verdict_carries_stats () =
   let machine, specs = Consensus_protocols.from_consensus_obj ~m:2 in
   let v =
@@ -778,6 +810,8 @@ let () =
             test_intern_order_independent_across_processes;
           Alcotest.test_case "exploration stats sane" `Quick
             test_exploration_stats_sane;
+          Alcotest.test_case "stats count successors as edges" `Quick
+            test_stats_successor_count;
           Alcotest.test_case "verdict carries stats" `Quick
             test_verdict_carries_stats;
         ] );

@@ -119,6 +119,72 @@ let test_graph_isolates_raising_machine () =
   Alcotest.(check bool) "marked truncated" true g.Cgraph.truncated;
   Alcotest.(check int) "the explored prefix survives" 1 (Cgraph.n_nodes g)
 
+(* The parallel path of the same isolation: the step relation raises on
+   exactly one configuration, the last node of the first level whose
+   frontier is large enough (> 256 nodes) to be expanded by several
+   domains.  When it always raises, sequential and parallel builds must
+   both stop with [Worker_failed], abandon that level whole, and keep
+   the same surviving prefix — which resumes to the full graph.  When
+   only its first two attempts raise, the retry must redo the claimed
+   block and the build must complete with the full graph. *)
+let test_parallel_level_failure () =
+  let n = 3 in
+  let machine = Obstruction_free.machine_spin ~n ~max_rounds:1 in
+  let specs = Obstruction_free.specs ~n ~max_rounds:1 in
+  let inputs = Array.init n (fun pid -> Value.int (pid mod 2)) in
+  let full = Cgraph.build ~domains:1 ~machine ~specs ~inputs () in
+  let sizes = (Cgraph.stats full).Cgraph.frontier_sizes in
+  let rec level l first =
+    if l >= Array.length sizes then Alcotest.fail "no frontier exceeds 256"
+    else if sizes.(l) > 256 then (first, sizes.(l))
+    else level (l + 1) (first + sizes.(l))
+  in
+  let first, size = level 0 0 in
+  let poison = Cgraph.node full (first + size - 1) in
+  let raising ~faults =
+    let left = Atomic.make faults in
+    {
+      Substrate.shm with
+      step_branches =
+        (fun ~machine ~specs config pid ->
+          if Config.equal config poison && Atomic.fetch_and_add left (-1) > 0
+          then failwith "injected step fault";
+          Substrate.shm.Substrate.step_branches ~machine ~specs config pid);
+    }
+  in
+  let build domains =
+    let substrate = raising ~faults:max_int in
+    let g = Cgraph.build ~domains ~substrate ~machine ~specs ~inputs () in
+    (match g.Cgraph.stop with
+    | Supervisor.Worker_failed { attempts = 3; _ } -> ()
+    | o ->
+      Alcotest.failf "domains=%d: expected a worker failure, got %a" domains
+        Supervisor.pp_outcome o);
+    Alcotest.(check int)
+      (Fmt.str "domains=%d: failed level left unexpanded" domains)
+      first (Option.get g.Cgraph.suspended).Cgraph.s_expanded;
+    g
+  in
+  let seq = build 1 and par = build 2 in
+  Alcotest.(check int) "prefix ends after the failed level's frontier"
+    (first + size) (Cgraph.n_nodes seq);
+  same_graph "domains 1 vs 2 surviving prefix" seq par;
+  let resumed =
+    Cgraph.build ~domains:2 ~resume:(Option.get par.Cgraph.suspended) ~machine
+      ~specs ~inputs ()
+  in
+  same_graph "resumed prefix = uninterrupted" full resumed;
+  List.iter
+    (fun domains ->
+      let g =
+        Cgraph.build ~domains ~substrate:(raising ~faults:2) ~machine ~specs
+          ~inputs ()
+      in
+      let label = Fmt.str "transient fault, domains=%d" domains in
+      expect_outcome label Supervisor.Done g.Cgraph.stop;
+      same_graph label full g)
+    [ 1; 2 ]
+
 let test_sweep_survives_raising_checker () =
   (* Regression for the latent for_all_inputs bug: an exception escaping
      a spawned domain used to abort the whole sweep through
@@ -478,7 +544,7 @@ let test_ctbl_growth_from_capacity_one () =
   done;
   Alcotest.(check int) "no phantom entries" n (Ctbl.length t)
 
-(* --- the sharded dedup table and out-of-core builds ---------------------- *)
+(* --- the dedup table and out-of-core builds ------------------------------ *)
 
 (* Reduction modes for the equivalence matrix, built the way the serve
    API builds them (dac's PAC object is inert once upset — the [frozen]
@@ -492,76 +558,17 @@ let dac_reductions n =
       frozen = Some frozen };
   ]
 
-(* The tentpole's central property: the dedup shard count changes probe
-   routing and growth locality, never the graph.  Node set, edge set
-   and verdict are identical across shard counts and reduction modes,
-   and agree with the sequential [build_cmap] oracle. *)
-let test_sharded_equals_single () =
+(* The explorer against the sequential [build_cmap] oracle, for every
+   reduction mode ("none" included): node set and edge set are
+   identical. *)
+let test_build_equals_oracle () =
   let machine, specs, inputs = dac_instance 3 in
   List.iter
     (fun reduce ->
       let oracle = Cgraph.build_cmap ~reduce ~machine ~specs ~inputs () in
-      let baseline =
-        Solvability.check_dac ~domains:1 ~reduce ~shards:1 ~machine ~specs
-          ~inputs ()
-      in
-      List.iter
-        (fun shards ->
-          let g = Cgraph.build ~reduce ~shards ~machine ~specs ~inputs () in
-          same_graph
-            (Fmt.str "%s shards=%d vs oracle" reduce.Cgraph.rname shards)
-            oracle g;
-          Alcotest.(check int)
-            (Fmt.str "%s shards=%d: stats report the count"
-               reduce.Cgraph.rname shards)
-            shards (Cgraph.stats g).Cgraph.shards;
-          let v =
-            Solvability.check_dac ~domains:1 ~reduce ~shards ~machine ~specs
-              ~inputs ()
-          in
-          Alcotest.(check bool)
-            (Fmt.str "%s shards=%d: verdict" reduce.Cgraph.rname shards)
-            baseline.Solvability.ok v.Solvability.ok;
-          expect_outcome
-            (Fmt.str "%s shards=%d: outcome" reduce.Cgraph.rname shards)
-            baseline.Solvability.outcome v.Solvability.outcome)
-        [ 1; 4; 64 ])
+      let g = Cgraph.build ~reduce ~machine ~specs ~inputs () in
+      same_graph (reduce.Cgraph.rname ^ " vs oracle") oracle g)
     (dac_reductions 3)
-
-(* Adversarial routing: every key carries hash 0, so all of them route
-   to shard 0 and collide there.  The hot shard must stay correct and
-   grow alone — the 63 idle shards keep their initial capacity. *)
-let test_sharded_one_hot_shard () =
-  let n = 600 in
-  let t = Ctbl_sharded.create ~shards:64 1 in
-  for i = 0 to n - 1 do
-    let id =
-      Ctbl_sharded.find_or_add t (config_of_int i) ~hash:0
-        ~if_absent:(fun _ -> i)
-    in
-    Alcotest.(check int) (Fmt.str "insert %d keeps its id" i) i id
-  done;
-  Alcotest.(check int) "all keys distinct" n (Ctbl_sharded.length t);
-  for i = 0 to n - 1 do
-    match Ctbl_sharded.find_opt t (config_of_int i) ~hash:0 with
-    | Some id -> Alcotest.(check int) (Fmt.str "find %d" i) i id
-    | None -> Alcotest.failf "key %d lost" i
-  done;
-  Alcotest.(check (option int))
-    "absent key still missing" None
-    (Ctbl_sharded.find_opt t (config_of_int (n + 777)) ~hash:0);
-  let ss = Ctbl_sharded.shard_stats t in
-  Alcotest.(check int) "shard 0 holds everything" n ss.(0).Ctbl_sharded.ss_size;
-  Array.iteri
-    (fun i s ->
-      if i > 0 then begin
-        Alcotest.(check int)
-          (Fmt.str "shard %d empty" i) 0 s.Ctbl_sharded.ss_size;
-        Alcotest.(check int)
-          (Fmt.str "shard %d never grew" i)
-          16 s.Ctbl_sharded.ss_capacity
-      end)
-    ss
 
 (* Freezing keeps lookups exact: frozen slots answer through [resolve]
    (counted as faults), resident ones never fault, and probe chains
@@ -570,49 +577,38 @@ let test_sharded_one_hot_shard () =
    the empty-slot marker were once compiled to the same static block,
    so freezing silently emptied slots — resident entries behind them
    went unfindable and re-encounters of frozen states got fresh ids. *)
-let test_sharded_freeze_resolves () =
+let test_freeze_resolves () =
   let n = 100 and limit = 50 in
   let all = Array.init n config_of_int in
-  let resolve id = all.(id) in
-  List.iter
-    (fun shards ->
-      let t = Ctbl_sharded.create ~shards ~resolve 16 in
-      for i = 0 to n - 1 do
-        ignore
-          (Ctbl_sharded.find_or_add t all.(i) ~hash:(Config.hash all.(i))
-             ~if_absent:(fun _ -> i))
-      done;
-      let froze = Ctbl_sharded.freeze_below t ~id_limit:limit in
-      Alcotest.(check int)
-        (Fmt.str "shards=%d: froze the cold prefix" shards)
-        limit froze;
-      Alcotest.(check int)
-        (Fmt.str "shards=%d: frozen count" shards)
-        limit (Ctbl_sharded.frozen t);
-      for i = 0 to n - 1 do
-        match
-          Ctbl_sharded.find_opt t all.(i) ~hash:(Config.hash all.(i))
-        with
-        | Some id when id = i -> ()
-        | Some id ->
-          Alcotest.failf "shards=%d: key %d resolved to %d" shards i id
-        | None -> Alcotest.failf "shards=%d: key %d lost to freezing" shards i
-      done;
-      Alcotest.(check bool)
-        (Fmt.str "shards=%d: frozen hits fault" shards)
-        true
-        (Ctbl_sharded.faults t >= limit);
-      (* re-adding a frozen key must dedup, not mint a fresh id *)
-      let id =
-        Ctbl_sharded.find_or_add t all.(0) ~hash:(Config.hash all.(0))
-          ~if_absent:(fun _ -> Alcotest.fail "frozen key re-added as new")
-      in
-      Alcotest.(check int) (Fmt.str "shards=%d: dedup survives" shards) 0 id)
-    [ 1; 4; 64 ]
+  let t = Ctbl.create ~resolve:(fun id -> all.(id)) 16 in
+  for i = 0 to n - 1 do
+    ignore
+      (Ctbl.find_or_add t all.(i) ~hash:(Config.hash all.(i))
+         ~if_absent:(fun _ -> i))
+  done;
+  Alcotest.(check int) "froze the cold prefix" limit
+    (Ctbl.freeze_below t ~id_limit:limit);
+  Alcotest.(check int) "frozen count" limit (Ctbl.frozen t);
+  Alcotest.(check int) "refreezing freezes nothing new" 0
+    (Ctbl.freeze_below t ~id_limit:limit);
+  for i = 0 to n - 1 do
+    match Ctbl.find_opt t all.(i) ~hash:(Config.hash all.(i)) with
+    | Some id when id = i -> ()
+    | Some id -> Alcotest.failf "key %d resolved to %d" i id
+    | None -> Alcotest.failf "key %d lost to freezing" i
+  done;
+  Alcotest.(check bool) "frozen hits fault" true (Ctbl.faults t >= limit);
+  (* re-adding a frozen key must dedup, not mint a fresh id *)
+  let id =
+    Ctbl.find_or_add t all.(0) ~hash:(Config.hash all.(0))
+      ~if_absent:(fun _ -> Alcotest.fail "frozen key re-added as new")
+  in
+  Alcotest.(check int) "dedup survives" 0 id;
+  Alcotest.(check int) "no phantom entries" n (Ctbl.length t)
 
 (* Out-of-core builds: an aggressively tiny threshold forces many
    spill waves on dac:3, and the graph must stay bit-identical to the
-   resident build's, for every shard count and reduction mode.
+   resident build's, for every reduction mode.
    [same_graph] reads every node, so it also exercises fault-in. *)
 let test_spill_build_equivalence () =
   let machine, specs, inputs = dac_instance 3 in
@@ -624,26 +620,17 @@ let test_spill_build_equivalence () =
       List.iter
         (fun reduce ->
           let resident = Cgraph.build ~reduce ~machine ~specs ~inputs () in
-          List.iter
-            (fun shards ->
-              let spill =
-                { Cgraph.spill_dir = dir; spill_threshold = 20 }
-              in
-              let g =
-                Cgraph.build ~reduce ~shards ~spill ~machine ~specs ~inputs ()
-              in
-              let label =
-                Fmt.str "spilled %s shards=%d" reduce.Cgraph.rname shards
-              in
-              let sp = (Cgraph.stats g).Cgraph.spill in
-              Alcotest.(check bool)
-                (label ^ ": spill engaged") true
-                (sp.Cgraph.sp_segments > 0 && sp.Cgraph.sp_bytes > 0);
-              Alcotest.(check bool)
-                (label ^ ": dedup keys went cold") true
-                (sp.Cgraph.sp_frozen > 0);
-              same_graph label resident g)
-            [ 1; 4 ])
+          let spill = { Cgraph.spill_dir = dir; spill_threshold = 20 } in
+          let g = Cgraph.build ~reduce ~spill ~machine ~specs ~inputs () in
+          let label = "spilled " ^ reduce.Cgraph.rname in
+          let sp = (Cgraph.stats g).Cgraph.spill in
+          Alcotest.(check bool)
+            (label ^ ": spill engaged") true
+            (sp.Cgraph.sp_segments > 0 && sp.Cgraph.sp_bytes > 0);
+          Alcotest.(check bool)
+            (label ^ ": dedup keys went cold") true
+            (sp.Cgraph.sp_frozen > 0);
+          same_graph label resident g)
         (dac_reductions 3);
       (* path-based cleanup drops the segment files and the directory *)
       Segstore.clean_dir ~dir;
@@ -680,11 +667,11 @@ let test_spill_checkpoint_resume () =
       same_graph "spilled interrupt/resume = uninterrupted" full resumed;
       (* and resuming back INTO a spilled build also agrees *)
       let resumed_spilled =
-        Cgraph.build ~spill ~shards:4
+        Cgraph.build ~spill
           ~resume:(Option.get partial.Cgraph.suspended)
           ~machine ~specs ~inputs ()
       in
-      same_graph "resume into a spilled sharded build" full resumed_spilled)
+      same_graph "resume into a spilled build" full resumed_spilled)
 
 (* The version-3 compatibility rule: a coherent checkpoint from an
    older format version raises [Version_mismatch] (CLIs exit 2), never
@@ -724,6 +711,8 @@ let () =
         [
           Alcotest.test_case "raising machine is contained" `Quick
             test_graph_isolates_raising_machine;
+          Alcotest.test_case "parallel level failure keeps the prefix" `Quick
+            test_parallel_level_failure;
           Alcotest.test_case "raising checker no longer aborts the sweep"
             `Quick test_sweep_survives_raising_checker;
           Alcotest.test_case "run_shard retry discipline" `Quick
@@ -768,12 +757,10 @@ let () =
         ] );
       ( "out of core",
         [
-          Alcotest.test_case "sharded = single-table, any shard count" `Quick
-            test_sharded_equals_single;
-          Alcotest.test_case "adversarial one-hot shard routing" `Quick
-            test_sharded_one_hot_shard;
+          Alcotest.test_case "build = oracle, every reduce mode" `Quick
+            test_build_equals_oracle;
           Alcotest.test_case "frozen slots resolve exactly" `Quick
-            test_sharded_freeze_resolves;
+            test_freeze_resolves;
           Alcotest.test_case "spilled build = resident build" `Quick
             test_spill_build_equivalence;
           Alcotest.test_case "spill + checkpoint + resume" `Quick
