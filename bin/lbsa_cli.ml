@@ -252,8 +252,9 @@ let chaos_arg =
         ~doc:
           "Supervisor self-test: deterministically inject artificial worker \
            failures (first attempt of a shard fails per a pure \
-           (seed, worker) plan; the supervised retry succeeds).  Verdicts \
-           must be identical with or without this flag.")
+           (seed, block) plan, independent of the domain count; the \
+           supervised retry succeeds).  Verdicts must be identical with or \
+           without this flag.")
 
 let arm_chaos = function
   | None -> ()

@@ -42,9 +42,6 @@ type report = {
   wall_s : float;
 }
 
-let default_domains =
-  lazy (max 1 (min 8 (Domain.recommended_domain_count ())))
-
 (* --- evaluation -------------------------------------------------------- *)
 
 type eval =
@@ -112,18 +109,12 @@ let eval_spec_case ?session ~(spec : Obj_spec.t) (case : Fuzz_case.t) : eval =
 
 (* --- deterministic multi-domain fan-out -------------------------------- *)
 
-(* Contiguous chunks, one per domain, each scanned in ascending trial
-   order; a CAS-min on the best (lowest) failing index lets domains stop
-   early without ever racing past a smaller candidate.  The owner of the
-   global minimum always reaches it (everything before it passes), so
-   the result is the same as a sequential scan.
-
-   Supervision: each chunk body runs under [Supervisor.run_shard] (one
-   exception — or injected chaos fault — is caught in its own domain
-   and the chunk retried; trials are pure functions of their substream,
-   so a retry rescans to the same result), and the budget is polled
-   before every trial.  [completed] is the contiguous prefix of trials
-   known to have run, the resume point for a checkpointed campaign. *)
+(* One {!Supervisor.scan} over the trial indices, one trial per block:
+   the lowest failing trial is the same for every domain count.  A trial
+   that keeps raising becomes [Worker_failed] with its index; trials are
+   pure functions of their substream, so a retried trial reruns to the
+   same result.  [completed] is the contiguous prefix of trials known to
+   have run, the resume point for a checkpointed campaign. *)
 type 'a fan_result = {
   hit : (int * 'a) option;
   fan_domains : int;
@@ -131,101 +122,27 @@ type 'a fan_result = {
   fan_outcome : Supervisor.outcome;
 }
 
-let fan ?domains ?(start = 0) ?(budget = Supervisor.Budget.unlimited) ~trials
-    ~(run : int -> 'a option) () : 'a fan_result =
-  let domains =
-    match domains with
-    | Some d ->
-      if d < 1 then invalid_arg "Engine.fan: domains must be >= 1" else d
-    | None -> Lazy.force default_domains
-  in
+let fan ?domains ?(start = 0) ?budget ~trials ~(run : int -> 'a option) () :
+    'a fan_result =
   if start < 0 || start > trials then
     invalid_arg "Engine.fan: start out of range";
-  let span = trials - start in
-  let d = max 1 (min domains span) in
-  if span = 0 then
-    { hit = None; fan_domains = 1; fan_completed = trials; fan_outcome = Done }
-  else begin
-    let best = Atomic.make max_int in
-    let found = Array.make d None in
-    let reached = Array.make d start in
-    let stop_reason = Array.make d None in
-    let chunk = (span + d - 1) / d in
-    let lo_of k = start + (k * chunk) in
-    let hi_of k = min trials (lo_of k + chunk) in
-    let work k () =
-      let lo = lo_of k and hi = hi_of k in
-      (* Reset per attempt so a retried chunk rescans deterministically. *)
-      found.(k) <- None;
-      stop_reason.(k) <- None;
-      let i = ref lo in
-      let running = ref true in
-      while !running && !i < hi && !i < Atomic.get best do
-        match Supervisor.Budget.stop budget with
-        | Some o ->
-          stop_reason.(k) <- Some o;
-          running := false
-        | None ->
-          (match run !i with
-          | Some f ->
-            found.(k) <- Some (!i, f);
-            let rec cas_min () =
-              let b = Atomic.get best in
-              if !i < b && not (Atomic.compare_and_set best b !i) then
-                cas_min ()
-            in
-            cas_min ();
-            i := hi  (* later trials in this chunk cannot beat our own find *)
-          | None -> ());
-          incr i
-      done;
-      reached.(k) <- min !i hi
-    in
-    let shard k =
-      match Supervisor.run_shard ~worker:k (work k) with
-      | Ok () -> None
-      | Error (exn, attempts) ->
-        Some (Supervisor.Worker_failed { worker = k; exn; attempts })
-    in
-    let failures =
-      if d = 1 then [ shard 0 ]
-      else begin
-        let spawned =
-          List.init (d - 1) (fun k -> Domain.spawn (fun () -> shard (k + 1)))
-        in
-        let first = shard 0 in
-        first :: List.map Domain.join spawned
-      end
-    in
-    let hit =
-      Array.fold_left
-        (fun acc x ->
-          match (acc, x) with
-          | Some (i, _), Some (j, _) when j < i -> x
-          | None, x -> x
-          | acc, _ -> acc)
-        None found
-    in
-    (* Contiguous completed prefix: chunk k extends it only if every
-       chunk before it finished its whole range. *)
-    let fan_completed =
-      let rec go k =
-        if k >= d then trials
-        else if reached.(k) >= hi_of k then go (k + 1)
-        else reached.(k)
-      in
-      go 0
-    in
-    let fan_outcome =
-      match List.find_map Fun.id failures with
-      | Some o -> o
-      | None -> (
-        match Array.find_opt Option.is_some stop_reason with
-        | Some (Some o) -> o
-        | _ -> Done)
-    in
-    { hit; fan_domains = d; fan_completed; fan_outcome }
-  end
+  let r = Supervisor.scan ?domains ?budget ~start ~stop:trials run in
+  let hit, failed =
+    match r.Supervisor.first with
+    | Some (i, Ok a) -> (Some (i, a), None)
+    | Some (i, Error (exn, attempts)) ->
+      (None, Some (Supervisor.Worker_failed { worker = i; exn; attempts }))
+    | None -> (None, None)
+  in
+  {
+    hit;
+    fan_domains = r.Supervisor.domains;
+    fan_completed = r.Supervisor.completed;
+    fan_outcome =
+      (match (failed, r.Supervisor.stopped) with
+      | Some o, _ | None, Some o -> o
+      | None, None -> Done);
+  }
 
 (* --- shrinking --------------------------------------------------------- *)
 

@@ -74,14 +74,15 @@ val fan :
   run:(int -> 'a option) ->
   unit ->
   'a fan_result
-(** Scan trial indices [start, trials) for the lowest failing one,
-    fanning contiguous chunks across domains with a CAS-min cutoff.  The
-    result (and every per-trial PRNG, when [run] derives it with
-    {!Lbsa_util.Prng.of_substream}) is identical for every domain count.
-    Chunk bodies run under {!Lbsa_runtime.Supervisor.run_shard} — a
-    worker exception is isolated and the chunk retried, surfacing as
-    [Worker_failed] only when retries are exhausted — and [budget] is
-    polled before every trial. *)
+(** Scan trial indices [start, trials) for the lowest failing one: one
+    {!Lbsa_runtime.Supervisor.scan}, one trial per block.  The result
+    (and every per-trial PRNG, when [run] derives it with
+    {!Lbsa_util.Prng.of_substream}) is identical for every domain count,
+    [fan_completed] included: on a hit it is the hit's index.  Each
+    trial runs under {!Lbsa_runtime.Supervisor.run_shard} — an exception
+    is isolated and the trial retried, surfacing as [Worker_failed]
+    (with the trial index) only when retries are exhausted — and
+    [budget] is polled before every trial. *)
 
 val default_shrink_budget : int
 (** 400 candidate evaluations. *)

@@ -262,93 +262,33 @@ let successors ?(substrate = Substrate.shm) ~reduce ~machine ~specs config =
     done;
     (!acc, !canonized, !flushed)
 
-(* [recommended_domain_count] probes the machine; do it once, not per
-   build (builds of tiny graphs run at ~1M states/s, where even a few
-   microseconds of setup shows up). *)
-let default_domains =
-  let d = lazy (max 1 (min 8 (Domain.recommended_domain_count ()))) in
-  fun () -> Lazy.force d
-
 (* Below this frontier size the spawn/join overhead outweighs the work. *)
 let parallel_threshold = 256
-
-(* Granule of the shared cursor: a worker claims this many frontier
-   indices at a time. *)
-let block = 64
 
 (* Expand the first [n] entries of the frontier buffer; [Ok out] has
    node [i]'s successor list at [out.(i)].
 
-   Scheduling is one shared atomic cursor: each worker claims the next
-   [block] frontier indices with [Atomic.fetch_and_add] until the cursor
-   passes [n].  The cursor only decides *which worker* computes an
-   index, never what is computed or where it lands: [out.(i)] is a pure
-   function of [frontier.(i)], every index is claimed exactly once, and
-   the caller's merge reads [out] sequentially in frontier order — so
-   the produced graph is bit-identical for any domain count and any
-   claim interleaving.  [Domain.join] publishes the writes.
-
-   Fault isolation: each worker loop runs under [Supervisor.run_shard],
-   which retries a crashed attempt with bounded backoff.  A worker
-   records its claimed block in [claimed.(k)] before processing, so a
-   retry first reprocesses that block (idempotent: pure recompute into
-   the same disjoint slots) before claiming more; injected chaos faults
-   fire at attempt entry, before any claim.  A deterministic crash (a
-   raising machine) exhausts its retries, flags [failed], and every
-   other worker stops claiming; the level is then abandoned whole.
-   [Error (worker, exn, attempts)] reports the lowest such worker. *)
+   One {!Supervisor.scan} over the frontier indices, 64 at a time.  The
+   scan only decides *which domain* computes an index, never what is
+   computed or where it lands: [out.(i)] is a pure function of
+   [frontier.(i)], and the caller's merge reads [out] sequentially in
+   frontier order — so the produced graph is bit-identical for any
+   domain count and any claim interleaving.  [Domain.join] publishes
+   the writes.  A retried block recomputes the same disjoint slots.  A
+   deterministic crash (a raising machine) exhausts its retries and the
+   level is abandoned whole; [Error (i, exn, attempts)] names the lowest
+   failing frontier index [i], the same for every domain count. *)
 let expand ~domains ~substrate ~reduce ~machine ~specs frontier n =
   let out = Array.make n ([], 0, 0) in
-  let process lo hi =
-    for i = lo to hi - 1 do
-      out.(i) <- successors ~substrate ~reduce ~machine ~specs frontier.(i)
-    done
+  let domains = if n < parallel_threshold then 1 else domains in
+  let r =
+    Supervisor.scan ~domains ~block:64 ~start:0 ~stop:n (fun i ->
+        out.(i) <- successors ~substrate ~reduce ~machine ~specs frontier.(i);
+        None)
   in
-  let d = min domains n in
-  if d <= 1 || n < parallel_threshold then
-    match Supervisor.run_shard ~worker:0 (fun () -> process 0 n) with
-    | Ok () -> Ok out
-    | Error (exn, attempts) -> Error (0, exn, attempts)
-  else begin
-    let cursor = Atomic.make 0 in
-    let failed = Atomic.make false in
-    (* Start index of the block worker [k] is processing, or -1. *)
-    let claimed = Array.make d (-1) in
-    let run lo = process lo (min n (lo + block)) in
-    let rec worker k () =
-      if claimed.(k) >= 0 then begin
-        (* A previous attempt of this worker crashed mid-block; redo it
-           before claiming more. *)
-        run claimed.(k);
-        claimed.(k) <- -1
-      end;
-      if not (Atomic.get failed) then begin
-        let lo = Atomic.fetch_and_add cursor block in
-        if lo < n then begin
-          claimed.(k) <- lo;
-          run lo;
-          claimed.(k) <- -1;
-          worker k ()
-        end
-      end
-    in
-    let shard k =
-      let r = Supervisor.run_shard ~worker:k (worker k) in
-      if Result.is_error r then Atomic.set failed true;
-      r
-    in
-    let spawned =
-      List.init (d - 1) (fun k -> Domain.spawn (fun () -> shard (k + 1)))
-    in
-    let first = shard 0 in
-    let results = first :: List.map Domain.join spawned in
-    let rec lowest k = function
-      | [] -> Ok out
-      | Error (exn, attempts) :: _ -> Error (k, exn, attempts)
-      | Ok () :: rest -> lowest (k + 1) rest
-    in
-    lowest 0 results
-  end
+  match r.Supervisor.first with
+  | Some (i, Error (exn, attempts)) -> Error (i, exn, attempts)
+  | None | Some (_, Ok ()) -> Ok out
 
 (* --- construction ------------------------------------------------------ *)
 
@@ -368,7 +308,7 @@ let build ?(max_states = default_max_states) ?domains
     match domains with
     | Some d when d >= 1 -> d
     | Some d -> invalid_arg (Fmt.str "Graph.build: domains %d < 1" d)
-    | None -> default_domains ()
+    | None -> Supervisor.default_domains ()
   in
   let t0 = Unix.gettimeofday () in
   let nodes = Dyn.create () in
@@ -532,7 +472,8 @@ let build ?(max_states = default_max_states) ?domains
         (* This level's expansion failed even after retries.  Every
            completed level is kept; this one is abandoned whole (its
            nodes stay frontier), so the surviving prefix is still a
-           level boundary and domain-count-deterministic. *)
+           level boundary and domain-count-deterministic, and [worker]
+           is the lowest failing frontier index. *)
         stop := Supervisor.Worker_failed { worker; exn; attempts }
       | Ok succs ->
         Dyn.push frontier_sizes f.Dyn.len;
@@ -1022,9 +963,12 @@ let schedule_of_path edges = List.map (fun e -> e.pid) edges
    id of each node and the component count; ids are assigned in
    topological order of the condensation (sources first).  One DFS over
    the flat CSR edge array with preallocated int-array stacks — no
-   reverse-graph build, no per-node allocation. *)
-let scc t =
+   reverse-graph build, no per-node allocation.  With [ok], the pass
+   runs on the subgraph of nodes [ok] accepts: edges into or out of the
+   other nodes are ignored, and those nodes keep component -1. *)
+let scc ?ok t =
   let n = n_nodes t in
+  let ok = match ok with Some ok -> ok | None -> fun _ -> true in
   (* The packed targets array is the flattened form the DFS wants —
      resident even for out-of-core graphs, so the whole pass runs with
      zero segment faults (and RAM builds skip the flatten copy an
@@ -1051,7 +995,7 @@ let scc t =
     incr comp_sp
   in
   for start = 0 to n - 1 do
-    if index.(start) = -1 then begin
+    if index.(start) = -1 && ok start then begin
       let sp = ref 0 in
       stack_node.(0) <- start;
       stack_edge.(0) <- t.offsets.(start);
@@ -1082,7 +1026,8 @@ let scc t =
         else begin
           stack_edge.(!sp) <- ei + 1;
           let v = target ei in
-          if index.(v) = -1 then begin
+          if not (ok v) then ()
+          else if index.(v) = -1 then begin
             push v;
             incr sp;
             stack_node.(!sp) <- v;
@@ -1098,6 +1043,6 @@ let scc t =
      in topological order of the condensation, sources first. *)
   let nc = !next_comp in
   for u = 0 to n - 1 do
-    comp.(u) <- nc - 1 - comp.(u)
+    if comp.(u) >= 0 then comp.(u) <- nc - 1 - comp.(u)
   done;
   (comp, nc)

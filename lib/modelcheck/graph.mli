@@ -185,17 +185,18 @@ val build :
     the exploration quantifies over; its name is recorded in suspended
     explorations, and [build ~resume] refuses a substrate mismatch just
     like a reduction-mode mismatch.
-    [domains] defaults to [Domain.recommended_domain_count ()] capped at
-    8; the produced graph does not depend on it.  [budget] and the
+    [domains] defaults to {!Supervisor.default_domains}; the produced
+    graph does not depend on it.  [budget] and the
     [max_states] quota are polled at each level boundary; when either
     fires the build returns a partial graph with [stop] set and
     [suspended] holding the frozen frontier (a level's successors are
     registered in full, so a quota-stopped graph may hold slightly more
     than [max_states] nodes — never a node with a partial edge list).
-    Worker
-    exceptions are isolated and retried per worker
-    ({!Supervisor.run_shard}); an exhausted worker abandons its whole
-    level, keeping the surviving prefix deterministic.  [reduce]
+    Each level is one {!Supervisor.scan}: worker exceptions are isolated
+    and retried per block of frontier indices; an exhausted block
+    abandons its whole level, keeping the surviving prefix
+    deterministic, and [Worker_failed]'s [worker] is the lowest failing
+    frontier index.  [reduce]
     (default {!no_reduction}) quotients and prunes the exploration; the
     reduced graph is still domain-count-deterministic and identical to
     the [build_cmap] oracle's under the same [reduce].  [resume]
@@ -300,6 +301,9 @@ val schedule_of_path : edge list -> int list
     Nondeterministic object branches along the path must be replayed
     with a matching adversary. *)
 
-val scc : t -> int array * int
+val scc : ?ok:(int -> bool) -> t -> int array * int
 (** Strongly connected components (Tarjan): per-node component id and
-    component count, ids in topological order of the condensation. *)
+    component count, ids in topological order of the condensation.
+    With [ok], only the subgraph of nodes [ok] accepts is decomposed:
+    edges touching other nodes are ignored, and those nodes get
+    component -1. *)

@@ -154,64 +154,6 @@ let cycle_through graph ~in_comp ~head ~must_cover =
     | None -> None
     | Some path -> Some (!cycle @ path)
 
-(* Iterative Tarjan over the subgraph of nodes satisfying [ok]; edges
-   into or out of masked nodes are ignored and masked nodes keep
-   component -1.  Only the partition matters, not the numbering. *)
-let scc_masked graph ~ok comp =
-  let n = Graph.n_nodes graph in
-  let offsets = graph.Graph.offsets in
-  let index = Array.make n (-1) in
-  let low = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let tstack = Stack.create () in
-  let next = ref 0 in
-  let nc = ref 0 in
-  let visit u =
-    index.(u) <- !next;
-    low.(u) <- !next;
-    incr next;
-    Stack.push u tstack;
-    on_stack.(u) <- true
-  in
-  for root = 0 to n - 1 do
-    if ok root && index.(root) = -1 then begin
-      let call = ref [ (root, ref offsets.(root)) ] in
-      visit root;
-      while !call <> [] do
-        match !call with
-        | [] -> ()
-        | (u, i) :: rest ->
-          if !i < offsets.(u + 1) then begin
-            let v = (Graph.edge_at graph !i).Graph.target in
-            incr i;
-            if ok v then
-              if index.(v) = -1 then begin
-                visit v;
-                call := (v, ref offsets.(v)) :: !call
-              end
-              else if on_stack.(v) then low.(u) <- min low.(u) index.(v)
-          end
-          else begin
-            if low.(u) = index.(u) then begin
-              let rec pop () =
-                let w = Stack.pop tstack in
-                on_stack.(w) <- false;
-                comp.(w) <- !nc;
-                if w <> u then pop ()
-              in
-              pop ();
-              incr nc
-            end;
-            call := rest;
-            match rest with
-            | (p, _) :: _ -> low.(p) <- min low.(p) low.(u)
-            | [] -> ()
-          end
-      done
-    end
-  done;
-  !nc
-
 let analyze ~machine ~specs ~(substrate : Substrate.t) graph =
   let t0 = Unix.gettimeofday () in
   let _, full_sccs = Graph.scc graph in
@@ -227,9 +169,7 @@ let analyze ~machine ~specs ~(substrate : Substrate.t) graph =
                substrate.Substrate.mandatory_exit ~machine ~specs config pid)
              (Config.running config)))
   in
-  let ok u = good.(u) in
-  let comp = Array.make n (-1) in
-  let nc = scc_masked graph ~ok comp in
+  let comp, nc = Graph.scc ~ok:(fun u -> good.(u)) graph in
   (* Internal-edge presence per restricted component, in one sweep. *)
   let has_internal = Array.make nc false in
   for u = 0 to n - 1 do
@@ -246,7 +186,9 @@ let analyze ~machine ~specs ~(substrate : Substrate.t) graph =
   let cyclic_sccs = ref 0 in
   let fair_sccs = ref 0 in
   let best = ref None in
-  for c = 0 to nc - 1 do
+  (* Sinks first: the witness is the first fair component Tarjan
+     completes. *)
+  for c = nc - 1 downto 0 do
     if has_internal.(c) then begin
       (* Condition 1: nontrivial, or a single node with a self-loop. *)
       incr cyclic_sccs;

@@ -76,9 +76,9 @@ let partial ~(graph : Graph.t) ~stats ~inputs ~states () =
    condensation: yes iff some SCC contains an edge of [pid] internal to
    it (including self-loops).  Both searches are pure topology, so they
    read the packed targets array ([Graph.exists_out_step]) and never
-   fault segments on an out-of-core graph. *)
-let cycle_with_step_of (graph : Graph.t) pid =
-  let comp, _ = Graph.scc graph in
+   fault segments on an out-of-core graph.  [comp] is [Graph.scc]'s
+   component array, computed once per graph by the caller. *)
+let cycle_with_step_of (graph : Graph.t) ~comp pid =
   Graph.find_id graph (fun u ->
       Graph.exists_out_step graph u (fun pid' target ->
           pid' = pid && comp.(u) = comp.(target)))
@@ -158,10 +158,11 @@ let check_consensus ?(max_states = Graph.default_max_states) ?domains ?budget
     if graph.truncated then partial ~graph ~stats ~inputs ~states ()
     else
       let n = Array.length inputs in
+      let comp, _ = Graph.scc graph in
       let rec check_pid pid =
         if pid >= n then pass ~stats ~inputs ~states ()
         else
-          match cycle_with_step_of graph pid with
+          match cycle_with_step_of graph ~comp pid with
           | Some node ->
             fail ~stats ~inputs ~states
               (Fmt.str "process %d can take infinitely many steps (cycle at node %d)"
@@ -367,14 +368,11 @@ let dac_witness ?max_states ~machine ~specs ~inputs () =
   find_safety_witness ?max_states ~machine ~specs ~inputs ~judge ()
 
 (* Check a task over a whole family of input vectors; returns the first
-   failing verdict or the last passing one.  [domains] > 1 fans the
-   vectors out across that many domains in contiguous chunks — each
-   vector builds an independent graph — with the winning (lowest) failing
-   index agreed by CAS-min, so the verdict is identical for any domain
-   count (the same trick as the fuzzer's [Engine.fan]; this library sits
-   below the fuzzer, so the fan is reimplemented here).  When fanning
-   out, the per-vector check should itself run with [~domains:1] to avoid
-   oversubscription. *)
+   failing verdict or the last passing one.  The vectors are one
+   {!Supervisor.scan} (one vector per block): each vector builds an
+   independent graph, and the winning (lowest) failing index is the same
+   for any domain count.  When fanning out, the per-vector check should
+   itself run with [~domains:1] to avoid oversubscription. *)
 
 type family_stats = {
   vectors : int;
@@ -397,126 +395,43 @@ let for_all_inputs_timed ?(domains = 1)
     invalid_arg "Solvability.for_all_inputs: domains must be >= 1";
   let vectors = Array.of_list inputs_list in
   let n = Array.length vectors in
-  let d = min domains n in
   let t0 = Unix.gettimeofday () in
   let states = Atomic.make 0 in
-  let checked v =
-    ignore (Atomic.fetch_and_add states v.states);
-    v
-  in
-  (* One supervised vector: an exception raised while checking vector
-     [i] — in whichever domain owns it — is captured and retried by
-     [run_shard]; exhausted retries become a failing [Worker_failed]
-     verdict for that vector, which then competes in the ordinary
-     CAS-min.  Nothing escapes through [Domain.join], and the first
-     failing index is the same for any domain count. *)
-  let shard i =
-    match Supervisor.run_shard ~worker:i (fun () -> check vectors.(i)) with
-    | Ok v -> checked v
-    | Error (exn, attempts) ->
-      {
-        ok = false;
-        outcome = Supervisor.Worker_failed { worker = i; exn; attempts };
-        inputs = vectors.(i);
-        states = 0;
-        failure =
-          Some
-            (Fmt.str "checker raised after %d attempt%s: %s" attempts
-               (if attempts = 1 then "" else "s")
-               exn);
-        stats = None;
-        suspended = None;
-      }
-  in
-  let interrupted o i =
-    {
-      ok = false;
-      outcome = o;
-      inputs = vectors.(min i (n - 1));
-      states = 0;
-      failure =
-        Some
-          (Fmt.str "input-family sweep stopped (%a) before all %d vectors"
-             Supervisor.pp_outcome o n);
-      stats = None;
-      suspended = None;
-    }
+  (* Written only by the owner of the last vector, published by join. *)
+  let last = ref None in
+  let r =
+    Supervisor.scan ~domains ~budget ~start:0 ~stop:n (fun i ->
+        let v = check vectors.(i) in
+        ignore (Atomic.fetch_and_add states v.states);
+        if not v.ok then Some v
+        else begin
+          if i = n - 1 then last := Some v;
+          None
+        end)
   in
   let verdict =
-    if d = 1 then begin
-      let rec go last i =
-        if i >= n then Option.get last
-        else
-          match Supervisor.Budget.stop budget with
-          | Some o -> interrupted o i
-          | None ->
-            let v = shard i in
-            if v.ok then go (Some v) (i + 1) else v
-      in
-      go None 0
-    end
-    else begin
-      let best = Atomic.make max_int in
-      let found = Array.make d None in
-      let last = Atomic.make None in
-      let stopped = Atomic.make None in
-      let chunk = (n + d - 1) / d in
-      let work k =
-        let lo = k * chunk and hi = min n ((k + 1) * chunk) in
-        let i = ref lo in
-        let running = ref true in
-        while !running && !i < hi && !i < Atomic.get best do
-          match Supervisor.Budget.stop budget with
-          | Some o ->
-            if Atomic.get stopped = None then Atomic.set stopped (Some o);
-            running := false
-          | None ->
-            let v = shard !i in
-            (if not v.ok then begin
-               found.(k) <- Some (!i, v);
-               let rec cas_min () =
-                 let b = Atomic.get best in
-                 if !i < b && not (Atomic.compare_and_set best b !i) then
-                   cas_min ()
-               in
-               cas_min ();
-               i := hi (* later vectors in this chunk cannot beat this find *)
-             end
-             else if !i = n - 1 then Atomic.set last (Some v));
-            incr i
-        done
-      in
-      let spawned =
-        List.init (d - 1) (fun k -> Domain.spawn (fun () -> work (k + 1)))
-      in
-      work 0;
-      List.iter Domain.join spawned;
-      let first_fail =
-        Array.fold_left
-          (fun acc x ->
-            match (acc, x) with
-            | Some (i, _), Some (j, _) when j < i -> x
-            | None, x -> x
-            | acc, _ -> acc)
-          None found
-      in
-      match first_fail with
-      | Some (_, v) -> v
-      | None -> (
-        match Atomic.get stopped with
-        | Some o -> interrupted o n
-        | None ->
-          (* No chunk failed or stopped early, so every chunk ran to
-             completion and the owner of the last vector recorded its
-             (passing) verdict. *)
-          Option.get (Atomic.get last))
-    end
+    match (r.Supervisor.first, r.Supervisor.stopped) with
+    | Some (_, Ok v), _ -> v
+    | Some (i, Error (exn, attempts)), _ ->
+      (* The checker kept raising on vector [i]: a failing verdict for
+         that vector, never an exception through [Domain.join]. *)
+      fail
+        ~outcome:(Supervisor.Worker_failed { worker = i; exn; attempts })
+        ~inputs:vectors.(i) ~states:0
+        (Fmt.str "checker raised after %d attempt%s: %s" attempts
+           (if attempts = 1 then "" else "s")
+           exn)
+    | None, Some o ->
+      fail ~outcome:o ~inputs:vectors.(r.Supervisor.completed) ~states:0
+        (Fmt.str "input-family sweep stopped (%a) before all %d vectors"
+           Supervisor.pp_outcome o n)
+    | None, None -> Option.get !last
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   ( verdict,
     {
       vectors = n;
-      fan_domains = d;
+      fan_domains = r.Supervisor.domains;
       total_states = Atomic.get states;
       wall_s;
       vectors_per_sec = (if wall_s > 0. then float_of_int n /. wall_s else 0.);

@@ -27,9 +27,10 @@ type verdict = {
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
-val cycle_with_step_of : Graph.t -> int -> int option
+val cycle_with_step_of : Graph.t -> comp:int array -> int -> int option
 (** A node on a reachable cycle containing a step of the given process —
-    a wait-freedom violation witness. *)
+    a wait-freedom violation witness.  [comp] is the graph's
+    {!Graph.scc} component array. *)
 
 val any_cycle : Graph.t -> int option
 
@@ -179,18 +180,20 @@ val for_all_inputs :
   Value.t array list ->
   verdict
 (** First failing verdict over a family of input vectors, or the last
-    passing one.  [domains] (default 1) fans vectors out across that many
-    domains; the verdict — including which failing vector wins — is
-    identical for any domain count (lowest failing index, agreed by
-    CAS-min).  When [domains > 1], run the per-vector check itself with
+    passing one.  The vectors are one {!Supervisor.scan} across
+    [domains] (default 1) domains; the verdict — including which failing
+    vector wins — is identical for any domain count (the lowest failing
+    index).  When [domains > 1], run the per-vector check itself with
     [~domains:1] to avoid oversubscribing cores.
 
-    An exception escaping the per-vector check is captured in its own
-    domain and retried ({!Supervisor.run_shard}); if it keeps failing,
-    that vector gets a failing [Worker_failed] verdict that competes in
-    the usual lowest-index race — completed work is never lost and
-    nothing propagates through [Domain.join].  [budget] is polled before
-    each vector; when it fires the sweep returns a partial verdict. *)
+    An exception escaping the per-vector check is captured and the
+    vector retried ({!Supervisor.run_shard}); if it keeps failing, that
+    vector gets a failing [Worker_failed] verdict ([worker] = its index)
+    that competes for the lowest index like any other failure —
+    completed work is never lost and nothing propagates through
+    [Domain.join].  [budget] is polled before each vector; when it fires
+    the sweep returns a partial verdict naming the first unchecked
+    vector. *)
 
 val for_all_inputs_timed :
   ?domains:int ->

@@ -112,3 +112,89 @@ let run_shard ?(attempts = 3) ?(backoff_s = 0.001) ~worker f =
       end
   in
   go 0
+
+(* --- supervised parallel scan ------------------------------------------- *)
+
+(* [recommended_domain_count] probes the machine; do it once, not per
+   scan (tiny explorer levels run at ~1M states/s, where even a few
+   microseconds of setup shows up). *)
+let default_domains =
+  let d = lazy (max 1 (min 8 (Domain.recommended_domain_count ()))) in
+  fun () -> Lazy.force d
+
+type 'a scan = {
+  first : (int * ('a, string * int) result) option;
+  completed : int;
+  stopped : outcome option;
+  domains : int;
+}
+
+(* One atomic cursor hands out blocks in ascending order; [first] holds
+   the lowest settled index (a hit or an exhausted block) and is lowered
+   by CAS, and [frontier] is the lowest index not known to have returned
+   [None].  A worker never claims a block starting at or above [first]
+   and never runs an index at or above it, while every block below it
+   runs up to it — so [first] is the same for any domain count. *)
+let scan ?domains ?(budget = Budget.unlimited) ?(block = 1) ~start ~stop body =
+  let domains =
+    match domains with
+    | None -> default_domains ()
+    | Some d when d >= 1 -> d
+    | Some _ -> invalid_arg "Supervisor.scan: domains must be >= 1"
+  in
+  if block < 1 then invalid_arg "Supervisor.scan: block must be >= 1";
+  if start < 0 || stop < start then invalid_arg "Supervisor.scan: bad range";
+  let blocks = (stop - start + block - 1) / block in
+  let d = max 1 (min domains blocks) in
+  let cursor = Atomic.make 0 in
+  let first = Atomic.make None in
+  let frontier = Atomic.make stop in
+  let stopped = Atomic.make None in
+  let bound () = match Atomic.get first with Some (j, _) -> j | None -> stop in
+  let rec lower i =
+    let f = Atomic.get frontier in
+    if i < f && not (Atomic.compare_and_set frontier f i) then lower i
+  in
+  let rec settle i r =
+    match Atomic.get first with
+    | Some (j, _) when j <= i -> ()
+    | cur ->
+      if Atomic.compare_and_set first cur (Some (i, r)) then lower i
+      else settle i r
+  in
+  let run_block b =
+    let lo = start + (b * block) in
+    let hi = min stop (lo + block) in
+    let at = ref lo in
+    let rec go i =
+      at := i;
+      if i < hi && i < bound () then
+        match Budget.stop budget with
+        | Some o ->
+          ignore (Atomic.compare_and_set stopped None (Some o));
+          lower i
+        | None -> (
+          match body i with Some a -> settle i (Ok a) | None -> go (i + 1))
+    in
+    match run_shard ~worker:b (fun () -> go lo) with
+    | Ok () -> ()
+    | Error e -> settle !at (Error e)
+  in
+  let rec worker () =
+    if Option.is_none (Atomic.get stopped) then begin
+      let b = Atomic.fetch_and_add cursor 1 in
+      if b < blocks && start + (b * block) < bound () then begin
+        run_block b;
+        worker ()
+      end
+    end
+  in
+  let spawned = List.init (d - 1) (fun _ -> Domain.spawn worker) in
+  worker ();
+  List.iter Domain.join spawned;
+  {
+    first = Atomic.get first;
+    completed = Atomic.get frontier;
+    stopped = Atomic.get stopped;
+    domains = d;
+  }

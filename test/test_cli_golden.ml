@@ -35,6 +35,12 @@ let bugfix_rows =
     ("explore foo:1", "usage errors exit 3 (was cmdliner's 124)");
     ( "fingerprint -n 3 --inputs 1,x",
       "usage errors exit 3 (was cmdliner's 124)" );
+    ( "check dac -n 3 --deadline 0 --domains 1",
+      "a stopped sweep names the first unchecked vector at every domain \
+       count" );
+    ( "check dac -n 3 --deadline 0 --domains 2",
+      "a stopped sweep names the first unchecked vector (was the last \
+       vector, inputs=1,1,1, on 2 domains)" );
   ]
 
 let reduce_modes = [ "none"; "sym"; "sym+sleep" ]

@@ -22,15 +22,19 @@ let test_spec_targets_cover_registry () =
     Registry.known
 
 let test_fan_deterministic_across_domains () =
-  (* The first failing trial index is a pure function of the predicate,
-     never of the domain count or chunking. *)
+  (* The first failing trial index — and the completed prefix, which
+     ends at it — is a pure function of the predicate, never of the
+     domain count or scheduling. *)
   let run i = if i >= 37 && i mod 7 = 2 then Some (i * i) else None in
   let expect = Some (37, 37 * 37) in
   List.iter
     (fun domains ->
       let r = Fuzz_engine.fan ~domains ~trials:200 ~run () in
       Alcotest.(check (option (pair int int)))
-        (Fmt.str "domains=%d" domains) expect r.Fuzz_engine.hit)
+        (Fmt.str "domains=%d" domains) expect r.Fuzz_engine.hit;
+      Alcotest.(check int)
+        (Fmt.str "domains=%d: completed up to the hit" domains)
+        37 r.Fuzz_engine.fan_completed)
     [ 1; 2; 3; 8 ];
   let r = Fuzz_engine.fan ~domains:4 ~trials:30 ~run:(fun _ -> None) () in
   Alcotest.(check (option (pair int int))) "no failure" None r.Fuzz_engine.hit;

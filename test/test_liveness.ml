@@ -51,6 +51,21 @@ let test_vc_livelock () =
     Alcotest.(check (list int))
       "cycle schedules both survivors" [ 0; 1 ] (Liveness.witness_pids w)
 
+(* With several fair SCCs the witness is the first one Tarjan
+   completes (sinks first).  vc:3 has three; the head node, and with it
+   the rendered `check vc -n 3 --live` lasso, is pinned. *)
+let test_vc3_witness_choice () =
+  let inst = vc 3 in
+  let g = build ~substrate:mp inst in
+  let r = analyze ~substrate:mp inst g in
+  Alcotest.(check int) "three fair SCCs" 3 r.Liveness.fair_sccs;
+  match r.Liveness.verdict with
+  | Liveness.Live -> Alcotest.fail "vc:3 livelock not detected"
+  | Liveness.Livelock w ->
+    Alcotest.(check int) "head node" 158 w.Liveness.w_head;
+    Alcotest.(check int) "prefix length" 9 (List.length w.Liveness.w_prefix);
+    Alcotest.(check int) "cycle length" 3 (List.length w.Liveness.w_cycle)
+
 let test_vc_lasso_shrinks () =
   let inst = vc 2 in
   let g = build ~substrate:mp inst in
@@ -461,6 +476,8 @@ let () =
       ( "fixtures",
         [
           Alcotest.test_case "vc:2 split-vote livelock" `Quick test_vc_livelock;
+          Alcotest.test_case "vc:3 witness is the first fair SCC" `Quick
+            test_vc3_witness_choice;
           Alcotest.test_case "vc:2 lasso shrinks and pins" `Quick
             test_vc_lasso_shrinks;
           Alcotest.test_case "bcast:2 control is live" `Quick test_bcast_live;

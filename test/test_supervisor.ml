@@ -123,8 +123,9 @@ let test_graph_isolates_raising_machine () =
    exactly one configuration, the last node of the first level whose
    frontier is large enough (> 256 nodes) to be expanded by several
    domains.  When it always raises, sequential and parallel builds must
-   both stop with [Worker_failed], abandon that level whole, and keep
-   the same surviving prefix — which resumes to the full graph.  When
+   both stop with the same [Worker_failed] (naming the poisoned
+   frontier index), abandon that level whole, and keep the same
+   surviving prefix — which resumes to the full graph.  When
    only its first two attempts raise, the retry must redo the claimed
    block and the build must complete with the full graph. *)
 let test_parallel_level_failure () =
@@ -166,6 +167,12 @@ let test_parallel_level_failure () =
     g
   in
   let seq = build 1 and par = build 2 in
+  (match seq.Cgraph.stop with
+  | Supervisor.Worker_failed { worker; _ } ->
+    Alcotest.(check int) "worker = the poisoned frontier index" (size - 1)
+      worker
+  | _ -> ());
+  expect_outcome "domains 1 vs 2 outcome" seq.Cgraph.stop par.Cgraph.stop;
   Alcotest.(check int) "prefix ends after the failed level's frontier"
     (first + size) (Cgraph.n_nodes seq);
   same_graph "domains 1 vs 2 surviving prefix" seq par;
@@ -219,6 +226,55 @@ let test_sweep_survives_raising_checker () =
              (Value.list (Array.to_list reference.Solvability.inputs)))
       then Alcotest.failf "domains=%d picked a different failing vector" d)
     [ 2; 3; 4 ]
+
+(* The scan's contract: the lowest settled index (a hit, or an index
+   whose block keeps raising) and the completed prefix ending at it are
+   the same for every domain count and block size, and a fired budget
+   stops the scan before its first index. *)
+let test_scan_lowest_index () =
+  let body ~raise_at i =
+    if i = raise_at then failwith "boom"
+    else if i >= 37 && i mod 7 = 2 then Some (i * i)
+    else None
+  in
+  let first = function
+    | Some (i, Ok a) -> Fmt.str "hit %d -> %d" i a
+    | Some (i, Error (_, attempts)) -> Fmt.str "raised at %d x%d" i attempts
+    | None -> "none"
+  in
+  List.iter
+    (fun block ->
+      List.iter
+        (fun domains ->
+          let label what =
+            Fmt.str "block=%d domains=%d: %s" block domains what
+          in
+          let scan ?budget ~stop raise_at =
+            Supervisor.scan ~domains ~block ?budget ~start:5 ~stop
+              (body ~raise_at)
+          in
+          let r = scan ~stop:200 90 in
+          Alcotest.(check string) (label "hit") "hit 37 -> 1369"
+            (first r.Supervisor.first);
+          Alcotest.(check int) (label "completed at the hit") 37
+            r.Supervisor.completed;
+          let r = scan ~stop:200 20 in
+          Alcotest.(check string) (label "failure") "raised at 20 x3"
+            (first r.Supervisor.first);
+          Alcotest.(check int) (label "completed at the failure") 20
+            r.Supervisor.completed;
+          let r = scan ~stop:30 (-1) in
+          Alcotest.(check string) (label "clean") "none"
+            (first r.Supervisor.first);
+          Alcotest.(check int) (label "clean completes") 30
+            r.Supervisor.completed;
+          let r = scan ~budget:(expired ()) ~stop:200 (-1) in
+          Alcotest.(check int) (label "stopped before the start") 5
+            r.Supervisor.completed;
+          expect_outcome (label "budget") Supervisor.Deadline
+            (Option.value r.Supervisor.stopped ~default:Supervisor.Done))
+        [ 1; 2; 3; 8 ])
+    [ 1; 4; 64 ]
 
 let test_run_shard_retries_then_fails () =
   let calls = ref 0 in
@@ -717,6 +773,8 @@ let () =
             `Quick test_sweep_survives_raising_checker;
           Alcotest.test_case "run_shard retry discipline" `Quick
             test_run_shard_retries_then_fails;
+          Alcotest.test_case "scan settles the lowest index" `Quick
+            test_scan_lowest_index;
         ] );
       ( "chaos",
         [
