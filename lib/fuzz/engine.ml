@@ -266,23 +266,28 @@ let fuzz_spec ?domains ?shrink ?shrink_budget ?start ?budget ?(procs = 3)
    concerns.  Resuming replays nothing and re-randomizes nothing. *)
 type checkpoint = { ckpt_seed : int; ckpt_done : (string * int) list }
 
-let checkpoint_magic = "LBSA-FUZZ-CHECKPOINT/1\n"
+(* Version 2 commits through the same durable path as graph checkpoints:
+   a {!Lbsa_util.Rio} atomic write (tmp, fsync, rename, directory fsync)
+   of the magic line plus one checksummed [Segio] section, so
+   a torn write leaves the previous file and a flipped byte is refused
+   instead of resuming from a wrong prefix. *)
+let checkpoint_magic = "LBSA-FUZZ-CHECKPOINT/2\n"
+let checkpoint_tag = "FUZZCKPT"
+
+module Segio = Lbsa_modelcheck.Segstore.Segio
 
 let save_checkpoint ~file (c : checkpoint) =
-  let tmp = file ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc checkpoint_magic;
-      Marshal.to_channel oc c []);
-  Sys.rename tmp file
+  Lbsa_util.Rio.with_atomic_file ~site:"fuzz.checkpoint" ~path:file (fun w ->
+      let sink = Lbsa_util.Rio.write_string w in
+      sink checkpoint_magic;
+      Segio.write_section_sink sink ~tag:checkpoint_tag
+        (Marshal.to_string c []))
 
 let load_checkpoint ~file : checkpoint =
-  let ic =
-    try open_in_bin file
-    with Sys_error e -> failwith (Fmt.str "Engine.load_checkpoint: %s" e)
+  let fail fmt =
+    Fmt.kstr (fun m -> failwith ("Engine.load_checkpoint: " ^ m)) fmt
   in
+  let ic = try open_in_bin file with Sys_error e -> fail "%s" e in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
@@ -291,11 +296,15 @@ let load_checkpoint ~file : checkpoint =
         with End_of_file -> ""
       in
       if not (String.equal header checkpoint_magic) then
-        failwith
-          (Fmt.str
-             "Engine.load_checkpoint: %s is not a version-1 fuzz checkpoint"
-             file);
-      (Marshal.from_channel ic : checkpoint))
+        fail "%s is not a version-2 fuzz checkpoint" file;
+      match Segio.read_section ic with
+      | Some (tag, payload) when String.equal tag checkpoint_tag -> (
+        try (Marshal.from_string payload 0 : checkpoint)
+        with Failure m | Invalid_argument m ->
+          fail "%s: undecodable: %s" file m)
+      | Some (tag, _) -> fail "%s: unexpected section %s" file tag
+      | None -> fail "%s: truncated" file
+      | exception Failure m -> fail "%s: %s" file m)
 
 let checkpoint_of_reports ~seed reports =
   { ckpt_seed = seed; ckpt_done = List.map (fun r -> (r.rtarget, r.completed)) reports }

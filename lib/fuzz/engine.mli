@@ -145,9 +145,13 @@ type checkpoint = { ckpt_seed : int; ckpt_done : (string * int) list }
 val checkpoint_of_reports : seed:int -> report list -> checkpoint
 val resume_start : checkpoint -> name:string -> int
 val save_checkpoint : file:string -> checkpoint -> unit
+(** Atomic, durable write through {!Lbsa_util.Rio.with_atomic_file}
+    (site ["fuzz.checkpoint"]): a versioned magic line, then one
+    checksummed {!Lbsa_modelcheck.Segstore.Segio} section. *)
 
 val load_checkpoint : file:string -> checkpoint
-(** Raises [Failure] on a missing or foreign file. *)
+(** Raises [Failure] on a missing or foreign file, and on a body that
+    fails its checksum or does not decode. *)
 
 val pp_kind : Format.formatter -> kind -> unit
 val pp_failure : Format.formatter -> failure -> unit

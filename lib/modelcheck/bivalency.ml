@@ -18,10 +18,10 @@ let critical_configurations (a : Valence.analysis) (graph : Graph.t) =
     (fun id _ ->
       if
         Valence.is_bivalent a id
-        && List.for_all
-             (fun (e : Graph.edge) -> not (Valence.is_bivalent a e.target))
-             (Graph.out_edges graph id)
-        && Graph.out_edges graph id <> []
+        && Graph.out_degree graph id > 0
+        && not
+             (Graph.exists_out_step graph id (fun _pid v ->
+                  Valence.is_bivalent a v))
       then result := id :: !result)
     graph;
   List.rev !result
@@ -126,34 +126,27 @@ let find_hooks ?(limit = 10) (a : Valence.analysis) (graph : Graph.t) =
   Graph.iter_nodes
     (fun c _ ->
       if !count < limit then
-        let edges = Graph.out_edges graph c in
-        List.iter
-          (fun (ep : Graph.edge) ->
-            match Valence.classify a ep.target with
+        Graph.iter_out_steps graph c (fun p after_p ->
+            match Valence.classify a after_p with
             | Valence.Valent v ->
-              List.iter
-                (fun (eq : Graph.edge) ->
-                  if eq.pid <> ep.pid && !count < limit then
-                    List.iter
-                      (fun (ep' : Graph.edge) ->
-                        if ep'.pid = ep.pid && !count < limit then
-                          match Valence.classify a ep'.target with
+              Graph.iter_out_steps graph c (fun q after_q ->
+                  if q <> p && !count < limit then
+                    Graph.iter_out_steps graph after_q (fun p' after_qp ->
+                        if p' = p && !count < limit then
+                          match Valence.classify a after_qp with
                           | Valence.Valent v' when not (Value.equal v v') ->
                             incr count;
                             hooks :=
                               {
                                 node = c;
-                                p = ep.pid;
-                                q = eq.pid;
+                                p;
+                                q;
                                 valent_after_p = v;
                                 valent_after_qp = v';
                               }
                               :: !hooks
-                          | _ -> ())
-                      (Graph.out_edges graph eq.target))
-                edges
-            | _ -> ())
-          edges)
+                          | _ -> ()))
+            | _ -> ()))
     graph;
   List.rev !hooks
 
@@ -170,9 +163,8 @@ let bivalence_maintainable (a : Valence.analysis) (graph : Graph.t) =
       if !bad = None && Valence.is_bivalent a id then
         if
           not
-            (List.exists
-               (fun (e : Graph.edge) -> Valence.is_bivalent a e.target)
-               (Graph.out_edges graph id))
+            (Graph.exists_out_step graph id (fun _pid v ->
+                 Valence.is_bivalent a v))
         then bad := Some id)
     graph;
   match !bad with

@@ -7,7 +7,7 @@
    Version 3 replaced the single whole-file Marshal blob with the
    framed section discipline of the out-of-core segment store
    ({!Segstore.Segio}): one checksummed CKMETA section, then the node
-   and edge arrays streamed in bounded CKNODES/CKEDGES chunks.  Each
+   and step arrays streamed in bounded CKNODES/CKSTEPS chunks.  Each
    section is independently checksummed, a corrupt chunk fails loudly
    at its own offset, and writing a multi-gigabyte checkpoint never
    needs a second whole-graph copy in one Marshal buffer. *)
@@ -25,14 +25,14 @@ type meta = {
   m_ample_nodes : int;
   m_ample_pruned : int;
   m_n_nodes : int;
-  m_n_edges : int;
+  m_n_steps : int;
 }
 
 type t = {
   label : string;
   nodes : Mirror.pconfig array;
   expanded : int;
-  edges : Mirror.pedge array;
+  steps : int array;  (* packed (target lsl 8) lor pid, as in the graph *)
   offsets : int array;
   dedup_hits : int;
   n_succs : int;
@@ -50,20 +50,12 @@ let substrate t = t.substrate
 
 (* --- freeze / thaw ------------------------------------------------------- *)
 
-let freeze_edge (e : Graph.edge) =
-  Mirror.freeze_step ~pid:e.Graph.pid ~event:e.Graph.event
-    ~target:e.Graph.target
-
-let thaw_edge e : Graph.edge =
-  let pid, event, target = Mirror.thaw_step e in
-  { Graph.pid; event; target }
-
 let freeze ~label (s : Graph.suspended) =
   {
     label;
     nodes = Array.map Mirror.freeze_config s.Graph.s_nodes;
     expanded = s.Graph.s_expanded;
-    edges = Array.map freeze_edge s.Graph.s_edges;
+    steps = Array.copy s.Graph.s_steps;
     offsets = Array.copy s.Graph.s_offsets;
     dedup_hits = s.Graph.s_dedup_hits;
     n_succs = s.Graph.s_n_succs;
@@ -79,7 +71,7 @@ let thaw t : Graph.suspended =
   Graph.suspended_of_parts
     ~nodes:(Array.map Mirror.thaw_config t.nodes)
     ~expanded:t.expanded
-    ~edges:(Array.map thaw_edge t.edges)
+    ~steps:(Array.copy t.steps)
     ~offsets:(Array.copy t.offsets) ~dedup_hits:t.dedup_hits
     ~n_succs:t.n_succs
     ~frontier_sizes:(Array.copy t.frontier_sizes)
@@ -98,9 +90,11 @@ let thaw t : Graph.suspended =
    misread would be to debug.  Version 4 records the execution
    substrate the exploration ran under, so a resume cannot silently
    replay a shared-memory prefix under a message-passing step relation
-   (or vice versa); version-3 files are refused like any older
-   format. *)
-let magic = "LBSA-CHECKPOINT/4\n"
+   (or vice versa).  Version 5 stores the topology only — packed
+   (target, pid) steps instead of edge records with events, which the
+   graph recomputes on demand; version-4 files are refused like any
+   older format. *)
+let magic = "LBSA-CHECKPOINT/5\n"
 let magic_family = "LBSA-CHECKPOINT/"
 
 exception Version_mismatch of string
@@ -113,7 +107,7 @@ exception Corrupt of string
    artifact — CLIs refuse it with the partial exit code 2 (re-run the
    exploration), not the usage code. *)
 
-(* Array chunk size for the streamed node/edge sections. *)
+(* Array chunk size for the streamed node/step sections. *)
 let chunk_len = 65_536
 
 (* The save streams through a {!Lbsa_util.Rio} atomic commit: tmp file,
@@ -140,7 +134,7 @@ let save ~file t =
           m_ample_nodes = t.ample_nodes;
           m_ample_pruned = t.ample_pruned;
           m_n_nodes = Array.length t.nodes;
-          m_n_edges = Array.length t.edges;
+          m_n_steps = Array.length t.steps;
         }
       in
       Segstore.Segio.write_section_sink sink ~tag:"CKMETA"
@@ -156,7 +150,7 @@ let save ~file t =
         done
       in
       stream "CKNODES" t.nodes;
-      stream "CKEDGES" t.edges)
+      stream "CKSTEPS" t.steps)
 
 let load ~file =
   let ic =
@@ -181,13 +175,13 @@ let load ~file =
             (Version_mismatch
                (Fmt.str
                   "Checkpoint.load: %s is a %s checkpoint; this build reads \
-                   version 4 only (re-run the exploration to produce a new \
+                   version 5 only (re-run the exploration to produce a new \
                    checkpoint)"
                   file
                   (String.trim header)))
         else
           failwith
-            (Fmt.str "Checkpoint.load: %s is not a version-4 checkpoint file"
+            (Fmt.str "Checkpoint.load: %s is not a version-5 checkpoint file"
                file);
       (* Magic validated: any defect from here on is a *corrupt
          checkpoint*, reported with the typed [Corrupt] so CLIs can
@@ -217,15 +211,12 @@ let load ~file =
         | Some (tag, _) -> defect (Fmt.str "expected CKMETA, got %s" tag)
         | None -> defect "truncated (no CKMETA)"
       in
-      if meta.m_n_nodes < 0 || meta.m_n_edges < 0 then defect "negative counts";
+      if meta.m_n_nodes < 0 || meta.m_n_steps < 0 then defect "negative counts";
       let nodes =
         Array.make meta.m_n_nodes
           { Mirror.plocals = [||]; pobjects = [||]; pstatus = [||] }
       in
-      let edges =
-        Array.make meta.m_n_edges
-          { Mirror.ppid = 0; pev = Mirror.PAbort { epid = 0 }; ptarget = 0 }
-      in
+      let steps = Array.make meta.m_n_steps 0 in
       let fill (type a) tag (arr : a array) total =
         let got = ref 0 in
         while !got < total do
@@ -242,12 +233,12 @@ let load ~file =
         done
       in
       fill "CKNODES" nodes meta.m_n_nodes;
-      fill "CKEDGES" edges meta.m_n_edges;
+      fill "CKSTEPS" steps meta.m_n_steps;
       {
         label = meta.m_label;
         nodes;
         expanded = meta.m_expanded;
-        edges;
+        steps;
         offsets = meta.m_offsets;
         dedup_hits = meta.m_dedup_hits;
         n_succs = meta.m_n_succs;

@@ -1,7 +1,8 @@
 (** Durable checkpoints for long explorations: freeze a suspended
-    {!Graph.build} (frontier, dedup contents, edge prefix) to a purely
-    structural form, write it to disk, and thaw it back for
-    [Graph.build ~resume].
+    {!Graph.build} (frontier, dedup contents, packed step prefix) to a
+    purely structural form, write it to disk, and thaw it back for
+    [Graph.build ~resume].  Edge events are never stored; the graph
+    recomputes them on demand (format version 5).
 
     The structural detour exists because of the hash-consed value core:
     intern ids are allocation-order-dependent and pointer identity does
@@ -54,7 +55,7 @@ val thaw : t -> Graph.suspended
 val save : file:string -> t -> unit
 (** Atomic, durable write through {!Lbsa_util.Rio.with_atomic_file}:
     versioned magic header, then framed checksummed sections (shared
-    with {!Segstore.Segio}) — one CKMETA section and the node/edge
+    with {!Segstore.Segio}) — one CKMETA section and the node/step
     arrays streamed in bounded chunks — committed tmp + fsync + rename
     + directory fsync.  A crash at any point leaves either the previous
     [file] or the new one, never a torn mix.  Overwrites [file]. *)

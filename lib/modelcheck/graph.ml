@@ -1,7 +1,7 @@
 open Lbsa_runtime
 
 (* The reachable configuration graph of a protocol: nodes are global
-   configurations, edges are atomic steps (process id + event), with all
+   configurations, edges are atomic steps of one process, with all
    scheduler choices and all object nondeterminism included.  This is the
    object the paper's proofs quantify over, built explicitly for small
    instances.
@@ -19,8 +19,14 @@ open Lbsa_runtime
    incremental hashing machinery of its own.  (An earlier revision
    threaded parent-to-child element-hash arrays through the frontier to
    avoid rehashing whole value trees; interning made that redundant and
-   it was deleted.)  Out-edges live in one flat array in CSR form
-   (per-node slices via [offsets]) instead of a per-node list array.
+   it was deleted.)  The graph stores topology only: one flat array of
+   packed (target, pid) steps in CSR form (per-node slices via
+   [offsets]).  An edge's event — which operation ran, what it
+   returned — is never stored: [successors] is a pure function of the
+   node's configuration that lists its steps in a fixed order, so
+   [out_edges] recomputes the events of a node on demand and pairs the
+   k-th of them with the k-th stored step.  Only counterexample
+   printing ever asks.
 
    Determinism caveat: everything stored or ordered here — node ids,
    edge order, [Config.hash] — is structural.  Value intern ids are
@@ -60,9 +66,9 @@ let no_reduction_stats =
   { rmode = "none"; group_order = 1; canonized = 0; ample_nodes = 0; ample_pruned = 0 }
 
 (* Out-of-core spilling: once more than [spill_threshold] expanded
-   (cold) states are resident, the oldest ones — their configurations
-   and their CSR edge slice — move to disk segments under [spill_dir],
-   and the dedup entries covering them are frozen to (hash, id) pairs.
+   (cold) states are resident, the configurations of the oldest ones
+   move to disk segments under [spill_dir], and the dedup entries
+   covering them are frozen to (hash, id) pairs.
    Spilling happens only at level boundaries, so it never races the
    expansion workers and never touches the live frontier. *)
 type spill = { spill_dir : string; spill_threshold : int }
@@ -103,7 +109,8 @@ type stats = {
 
 (* A partial exploration, frozen at a level boundary: the prefix
    [0, s_expanded) of nodes has final out-edges; everything at or after
-   [s_expanded] is the unexpanded frontier.  Because the explorer is
+   [s_expanded] is the unexpanded frontier; [s_steps] is the packed
+   step array of the expanded prefix.  Because the explorer is
    level-synchronous and completed levels are identical for any domain
    count, a suspended prefix — and therefore a resumed build — is too.
    Checkpoint files store a structural mirror of this (see
@@ -111,7 +118,7 @@ type stats = {
 type suspended = {
   s_nodes : Config.t array;  (* every discovered configuration, id order *)
   s_expanded : int;
-  s_edges : edge array;
+  s_steps : int array;  (* packed (target lsl 8) lor pid, CSR order *)
   s_offsets : int array;  (* length s_expanded *)
   s_dedup_hits : int;
   s_n_succs : int;
@@ -123,13 +130,14 @@ type suspended = {
   s_ample_pruned : int;
 }
 
-(* Edge targets (and pids) also live packed in one flat, always-resident
-   int array: [(target lsl 8) lor pid].  Every pure-topology pass — SCC,
-   the valence sweep, liveness cycle searches, shortest-path parents —
-   reads only this array, so an out-of-core graph answers them with zero
-   segment faults; full [edge] records (with their events) fault in only
-   when a caller actually asks for them. *)
+(* Every step is packed into one flat, always-resident int array:
+   [(target lsl 8) lor pid].  Every pass — SCC, the valence sweep,
+   liveness cycle searches, path searches — reads only this array, so
+   an out-of-core graph answers them with zero segment faults; an
+   edge's event is recomputed (faulting in its source configuration)
+   only when a caller asks for it through [out_edges]. *)
 let pid_bits = 8
+let pid_mask = (1 lsl pid_bits) - 1
 
 let pack_step ~pid ~target =
   if pid lsr pid_bits <> 0 then invalid_arg "Graph: pid does not fit 8 bits";
@@ -138,11 +146,12 @@ let pack_step ~pid ~target =
 type t = {
   nodes : Config.t array;  (* resident suffix: ids [n_base, n_base + length) *)
   n_base : int;  (* 0 unless the build spilled *)
-  edges : edge array;  (* resident suffix of the flat CSR edge array *)
-  e_base : int;
   targets : int array;  (* all edges, packed (target lsl 8) lor pid *)
   offsets : int array;  (* length nodes+1; node id owns [offsets.(id), offsets.(id+1)) *)
-  segs : Segstore.t option;  (* cold prefix [0, n_base) and its edges *)
+  segs : Segstore.t option;  (* configurations of the cold prefix [0, n_base) *)
+  successors : Config.t -> (int * (Config.t * Config.event) list) list;
+      (* the step relation the graph was built with; [out_edges] re-runs
+         it to recover events *)
   initial : int;
   truncated : bool;  (* true whenever stop <> Done: results are partial *)
   stop : Supervisor.outcome;
@@ -295,10 +304,15 @@ let expand ~domains ~substrate ~reduce ~machine ~specs frontier n =
 let default_max_states = 1_000_000
 let default_spill_threshold = 500_000
 
-(* Hole values for compacting the resident arrays after a spill: the
+(* Hole value for compacting the resident node array after a spill: the
    freed suffix slots must stop retaining the spilled configurations. *)
 let hole_config : Config.t = { locals = [||]; objects = [||]; status = [||] }
-let hole_edge = { pid = 0; event = Config.Abort_event { pid = 0 }; target = 0 }
+
+(* The step relation a graph keeps for recomputing events: the branch
+   lists of [successors], without its reduction counters. *)
+let step_relation ~substrate ~reduce ~machine ~specs config =
+  let succs, _, _ = successors ~substrate ~reduce ~machine ~specs config in
+  succs
 
 let build ?(max_states = default_max_states) ?domains
     ?(budget = Supervisor.Budget.unlimited) ?(substrate = Substrate.shm)
@@ -312,14 +326,12 @@ let build ?(max_states = default_max_states) ?domains
   in
   let t0 = Unix.gettimeofday () in
   let nodes = Dyn.create () in
-  let edges = Dyn.create () in
   let targets = Dyn.create () in
   let offsets = Dyn.create () in
   let n_nodes = ref 0 in
-  (* Ids below [n_base] (and edge indices below [e_base]) live in the
-     segment store; the Dyn buffers hold only the resident suffix. *)
+  (* Configurations of ids below [n_base] live in the segment store; the
+     node buffer holds only the resident suffix. *)
   let n_base = ref 0 in
-  let e_base = ref 0 in
   let store =
     match spill with
     | None -> None
@@ -390,11 +402,7 @@ let build ?(max_states = default_max_states) ?domains
         if id >= s.s_expanded then Dyn.push !nxt config)
       s.s_nodes;
     n_nodes := Array.length s.s_nodes;
-    Array.iter
-      (fun e ->
-        Dyn.push edges e;
-        Dyn.push targets (pack_step ~pid:e.pid ~target:e.target))
-      s.s_edges;
+    Array.iter (Dyn.push targets) s.s_steps;
     Array.iter (Dyn.push offsets) s.s_offsets;
     Array.iter (Dyn.push frontier_sizes) s.s_frontier_sizes;
     dedup_hits := s.s_dedup_hits;
@@ -407,31 +415,22 @@ let build ?(max_states = default_max_states) ?domains
      nodes, in segment chunks; runs at a level boundary only (single
      threaded, frontier untouched — frontier ids are >= expanded and
      the cut stays strictly below it).  After the segments are written,
-     the resident Dyns are compacted in place and the dedup entries
-     covering the spilled ids are frozen to (hash, id). *)
+     the resident node buffer is compacted in place and the dedup
+     entries covering the spilled ids are frozen to (hash, id). *)
   let maybe_spill () =
     match (spill, store) with
     | Some sp, Some st when !expanded - !n_base > sp.spill_threshold ->
       let keep = max 1 (sp.spill_threshold / 2) in
       let cut_to = !expanded - keep in
       let seg_len = min 65536 (max 64 (sp.spill_threshold / 4)) in
-      let e_cut = ref !e_base in
       let lo = ref !n_base in
       while !lo < cut_to do
         let hi = min cut_to (!lo + seg_len) in
-        let elo = offsets.Dyn.arr.(!lo) in
-        let ehi = offsets.Dyn.arr.(hi) in
         let configs =
           Array.init (hi - !lo) (fun i ->
               Mirror.freeze_config nodes.Dyn.arr.(!lo + i - !n_base))
         in
-        let pedges =
-          Array.init (ehi - elo) (fun i ->
-              let e = edges.Dyn.arr.(elo + i - !e_base) in
-              Mirror.freeze_step ~pid:e.pid ~event:e.event ~target:e.target)
-        in
-        Segstore.write_segment st ~lo:!lo ~hi ~elo ~ehi ~configs ~edges:pedges;
-        e_cut := ehi;
+        Segstore.write_segment st ~lo:!lo ~hi ~configs;
         lo := hi
       done;
       let nshift = cut_to - !n_base in
@@ -439,11 +438,6 @@ let build ?(max_states = default_max_states) ?domains
       Array.fill nodes.Dyn.arr (nodes.Dyn.len - nshift) nshift hole_config;
       nodes.Dyn.len <- nodes.Dyn.len - nshift;
       n_base := cut_to;
-      let eshift = !e_cut - !e_base in
-      Array.blit edges.Dyn.arr eshift edges.Dyn.arr 0 (edges.Dyn.len - eshift);
-      Array.fill edges.Dyn.arr (edges.Dyn.len - eshift) eshift hole_edge;
-      edges.Dyn.len <- edges.Dyn.len - eshift;
-      e_base := !e_cut;
       ignore (Ctbl.freeze_below tbl ~id_limit:cut_to)
     | _ -> ()
   in
@@ -485,11 +479,11 @@ let build ?(max_states = default_max_states) ?domains
               ample_pruned := !ample_pruned + n_pruned
             end;
             (* Nodes are expanded in id order, so this records offsets.(id). *)
-            Dyn.push offsets (!e_base + edges.Dyn.len);
+            Dyn.push offsets targets.Dyn.len;
             List.iter
               (fun (pid, branches) ->
                 List.iter
-                  (fun ((config' : Config.t), event) ->
+                  (fun ((config' : Config.t), _event) ->
                     incr n_succs;
                     let hash = Config.hash config' in
                     let before = Ctbl.length tbl in
@@ -498,7 +492,6 @@ let build ?(max_states = default_max_states) ?domains
                         ~if_absent:register
                     in
                     if Ctbl.length tbl = before then incr dedup_hits;
-                    Dyn.push edges { pid; event; target };
                     Dyn.push targets (pack_step ~pid ~target))
                   branches)
               succ_list)
@@ -507,24 +500,15 @@ let build ?(max_states = default_max_states) ?domains
         maybe_spill ())
   done;
   let stop = !stop in
-  (* Materialized views over resident + spilled storage, for [suspended]
-     and for fully-resident final graphs.  The sequential walk faults
-     each segment at most [cache_slots] times. *)
-  let all_nodes () = Array.init !n_nodes config_of in
-  let all_edges () =
-    Array.init (!e_base + edges.Dyn.len) (fun i ->
-        if i >= !e_base then edges.Dyn.arr.(i - !e_base)
-        else
-          let pid, event, target = Segstore.step (Option.get store) i in
-          { pid; event; target })
-  in
   let suspended =
     if !expanded < !n_nodes then
       Some
         {
-          s_nodes = all_nodes ();
+          (* Materialized over resident + spilled storage; the sequential
+             walk faults each segment in once. *)
+          s_nodes = Array.init !n_nodes config_of;
           s_expanded = !expanded;
-          s_edges = all_edges ();
+          s_steps = Dyn.to_array targets;
           s_offsets = Dyn.to_array offsets;
           s_dedup_hits = !dedup_hits;
           s_n_succs = !n_succs;
@@ -537,7 +521,7 @@ let build ?(max_states = default_max_states) ?domains
         }
     else None
   in
-  let n_all_edges = !e_base + edges.Dyn.len in
+  let n_all_edges = targets.Dyn.len in
   (* Unexpanded frontier nodes (partial stop) get empty out-edge slices
      so the CSR offsets invariant (length nodes+1) holds for readers. *)
   for _ = !expanded to !n_nodes - 1 do
@@ -589,11 +573,10 @@ let build ?(max_states = default_max_states) ?domains
   {
     nodes = Dyn.to_array nodes;
     n_base = !n_base;
-    edges = Dyn.to_array edges;
-    e_base = !e_base;
     targets = Dyn.to_array targets;
     offsets = Dyn.to_array offsets;
     segs = store;
+    successors = step_relation ~substrate ~reduce ~machine ~specs;
     initial = 0;
     truncated;
     stop;
@@ -604,7 +587,7 @@ let build ?(max_states = default_max_states) ?domains
 (* Constructor for checkpoint thawing: [suspended] is private in the
    interface (only [build] and [Checkpoint] may produce one), so the
    checkpoint loader goes through here. *)
-let suspended_of_parts ~nodes ~expanded ~edges ~offsets ~dedup_hits ~n_succs
+let suspended_of_parts ~nodes ~expanded ~steps ~offsets ~dedup_hits ~n_succs
     ~frontier_sizes ~reduction ~substrate ~canonized ~ample_nodes ~ample_pruned
     =
   if expanded < 0 || expanded > Array.length nodes then
@@ -614,7 +597,7 @@ let suspended_of_parts ~nodes ~expanded ~edges ~offsets ~dedup_hits ~n_succs
   {
     s_nodes = nodes;
     s_expanded = expanded;
-    s_edges = edges;
+    s_steps = steps;
     s_offsets = offsets;
     s_dedup_hits = dedup_hits;
     s_n_succs = n_succs;
@@ -728,7 +711,7 @@ let build_cmap ?(max_states = default_max_states)
   let ids = ref (CMap.singleton init 0) in
   let nodes = ref [ init ] in
   let n_nodes = ref 1 in
-  let edges : (int, edge list) Hashtbl.t = Hashtbl.create 1024 in
+  let steps : (int, int list) Hashtbl.t = Hashtbl.create 1024 in
   let queue = Queue.create () in
   let truncated = ref false in
   let dedup_hits = ref 0 in
@@ -768,14 +751,12 @@ let build_cmap ?(max_states = default_max_states)
       List.concat_map
         (fun (pid, branches) ->
           List.filter_map
-            (fun (config', event) ->
-              match id_of config' with
-              | Some target -> Some { pid; event; target }
-              | None -> None)
+            (fun (config', _event) ->
+              Option.map (fun target -> pack_step ~pid ~target) (id_of config'))
             branches)
         succ_list
     in
-    Hashtbl.replace edges id out
+    Hashtbl.replace steps id out
   done;
   let nodes = Array.of_list (List.rev !nodes) in
   let n = Array.length nodes in
@@ -784,7 +765,7 @@ let build_cmap ?(max_states = default_max_states)
   for id = 0 to n - 1 do
     offsets.(id) <- flat.Dyn.len;
     List.iter (Dyn.push flat)
-      (Option.value (Hashtbl.find_opt edges id) ~default:[])
+      (Option.value (Hashtbl.find_opt steps id) ~default:[])
   done;
   offsets.(n) <- flat.Dyn.len;
   let wall_s = Unix.gettimeofday () -. t0 in
@@ -817,16 +798,13 @@ let build_cmap ?(max_states = default_max_states)
         };
     }
   in
-  let edges = Dyn.to_array flat in
   {
     nodes;
     n_base = 0;
-    edges;
-    e_base = 0;
-    targets =
-      Array.map (fun e -> pack_step ~pid:e.pid ~target:e.target) edges;
+    targets = Dyn.to_array flat;
     offsets;
     segs = None;
+    successors = step_relation ~substrate ~reduce ~machine ~specs;
     initial = 0;
     truncated = !truncated;
     stop = (if !truncated then Supervisor.Truncated else Supervisor.Done);
@@ -844,42 +822,46 @@ let node t id =
   if id >= t.n_base then t.nodes.(id - t.n_base)
   else Segstore.node (Option.get t.segs) id
 
-(* Full edge records for index [i], faulting a segment in for the cold
-   prefix.  Topology-only readers should use {!iter_out_steps} /
-   {!exists_out_step}, which never fault. *)
-let edge_at t i =
-  if i >= t.e_base then t.edges.(i - t.e_base)
-  else
-    let pid, event, target = Segstore.step (Option.get t.segs) i in
-    { pid; event; target }
-
-let iter_out_edges t id f =
-  for i = t.offsets.(id) to t.offsets.(id + 1) - 1 do
-    f (edge_at t i)
-  done
-
-let fold_out_edges t id f acc =
-  let acc = ref acc in
-  for i = t.offsets.(id) to t.offsets.(id + 1) - 1 do
-    acc := f !acc (edge_at t i)
-  done;
-  !acc
-
-let exists_out_edge t id p =
-  let rec go i = i < t.offsets.(id + 1) && (p (edge_at t i) || go (i + 1)) in
-  go t.offsets.(id)
-
 let out_degree t id = t.offsets.(id + 1) - t.offsets.(id)
 
+(* The only producer of edge events: re-run the step relation on the
+   node's configuration and pair its k-th step with the k-th stored one.
+   [successors] is pure and lists steps in a fixed order (the same
+   property that makes the explorer domain-count-deterministic), so the
+   pairing is exact; a disagreement in pid or step count means the
+   relation is not the one the graph was built with.  Empty slices —
+   unexpanded frontier nodes, halted configurations — answer [] without
+   touching the configuration. *)
 let out_edges t id =
-  List.init (out_degree t id) (fun i -> edge_at t (t.offsets.(id) + i))
+  let lo = t.offsets.(id) in
+  let deg = t.offsets.(id + 1) - lo in
+  if deg = 0 then []
+  else begin
+    let mismatch () =
+      invalid_arg
+        (Fmt.str "Graph.out_edges: node %d: steps differ from the stored graph"
+           id)
+    in
+    let events =
+      List.concat_map
+        (fun (pid, branches) -> List.map (fun (_, ev) -> (pid, ev)) branches)
+        (t.successors (node t id))
+    in
+    if List.length events <> deg then mismatch ();
+    List.mapi
+      (fun k (pid, event) ->
+        let v = t.targets.(lo + k) in
+        if v land pid_mask <> pid then mismatch ();
+        { pid; event; target = v lsr pid_bits })
+      events
+  end
 
 (* Packed-topology readers: pid and target straight out of the resident
    [targets] array — no segment faults, no allocation. *)
 let iter_out_steps t id f =
   for i = t.offsets.(id) to t.offsets.(id + 1) - 1 do
     let v = t.targets.(i) in
-    f (v land ((1 lsl pid_bits) - 1)) (v lsr pid_bits)
+    f (v land pid_mask) (v lsr pid_bits)
   done
 
 let exists_out_step t id p =
@@ -887,7 +869,7 @@ let exists_out_step t id p =
     i < t.offsets.(id + 1)
     &&
     let v = t.targets.(i) in
-    p (v land ((1 lsl pid_bits) - 1)) (v lsr pid_bits) || go (i + 1)
+    p (v land pid_mask) (v lsr pid_bits) || go (i + 1)
   in
   go t.offsets.(id)
 
@@ -914,47 +896,50 @@ let find_node t p =
 
 let require_complete t = if t.truncated then raise Truncated
 
-(* Shortest path (in steps) from the initial node to [target], as the
-   list of edges taken: the schedule that reproduces a violating
-   configuration, replayable with Scheduler.fixed. *)
+(* Deterministic BFS from [src] over the packed steps, restricted to
+   nodes [ok] accepts, until a step [accept pid target] holds; returns
+   the edge path ending with that step.  Step order is CSR order, so the
+   result depends only on the graph.  The search itself never touches a
+   configuration; only the edges on the returned path are materialized,
+   through [out_edges]. *)
+let find_path ?(ok = fun _ -> true) t ~src ~accept =
+  let n = n_nodes t in
+  let parent = Array.make n (-1) in  (* index of the step that found v *)
+  let parent_node = Array.make n (-1) in
+  let seen = Array.make n false in
+  seen.(src) <- true;
+  let queue = Queue.create () in
+  Queue.add src queue;
+  let found = ref None in
+  while !found = None && not (Queue.is_empty queue) do
+    let u = Queue.pop queue in
+    let i = ref t.offsets.(u) in
+    while !found = None && !i < t.offsets.(u + 1) do
+      let s = t.targets.(!i) in
+      let v = s lsr pid_bits in
+      if accept (s land pid_mask) v then found := Some (u, !i)
+      else if ok v && not seen.(v) then begin
+        seen.(v) <- true;
+        parent.(v) <- !i;
+        parent_node.(v) <- u;
+        Queue.add v queue
+      end;
+      incr i
+    done
+  done;
+  let edge u i = List.nth (out_edges t u) (i - t.offsets.(u)) in
+  let rec walk v acc =
+    if v = src then acc
+    else walk parent_node.(v) (edge parent_node.(v) parent.(v) :: acc)
+  in
+  Option.map (fun (u, i) -> walk u [ edge u i ]) !found
+
+(* Shortest path (in steps) from the initial node to [target]: the
+   schedule that reproduces a violating configuration, replayable with
+   Scheduler.fixed. *)
 let shortest_path t ~target =
   if target = t.initial then Some []
-  else begin
-    let n = n_nodes t in
-    (* Parent search runs over the packed targets array (no segment
-       faults); only the edges actually on the returned path are
-       materialized, faulting at most one segment per path step. *)
-    let parent = Array.make n (-1) in  (* edge index into the parent *)
-    let parent_node = Array.make n (-1) in
-    let queue = Queue.create () in
-    Queue.add t.initial queue;
-    let seen = Array.make n false in
-    seen.(t.initial) <- true;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      let hi = t.offsets.(u + 1) - 1 in
-      let i = ref t.offsets.(u) in
-      while (not !found) && !i <= hi do
-        let v = t.targets.(!i) lsr pid_bits in
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          parent.(v) <- !i;
-          parent_node.(v) <- u;
-          if v = target then found := true else Queue.add v queue
-        end;
-        incr i
-      done
-    done;
-    if not !found then None
-    else begin
-      let rec walk node acc =
-        if parent.(node) < 0 then acc
-        else walk parent_node.(node) (edge_at t parent.(node) :: acc)
-      in
-      Some (walk target [])
-    end
-  end
+  else find_path t ~src:t.initial ~accept:(fun _pid v -> v = target)
 
 let schedule_of_path edges = List.map (fun e -> e.pid) edges
 
@@ -962,7 +947,7 @@ let schedule_of_path edges = List.map (fun e -> e.pid) edges
    valence, wait-freedom and livelock analyses.  Returns the component
    id of each node and the component count; ids are assigned in
    topological order of the condensation (sources first).  One DFS over
-   the flat CSR edge array with preallocated int-array stacks — no
+   the flat CSR step array with preallocated int-array stacks — no
    reverse-graph build, no per-node allocation.  With [ok], the pass
    runs on the subgraph of nodes [ok] accepts: edges into or out of the
    other nodes are ignored, and those nodes keep component -1. *)

@@ -6,11 +6,17 @@
     The explorer is a level-synchronous parallel BFS (OCaml domains) with
     an open-addressing dedup table over the full element-wise
     [Config.hash], producing the same graph — identical node ids, edge
-    order and truncation point — for any domain count. *)
+    order and truncation point — for any domain count.
+
+    A graph stores topology only: each step as a packed
+    [(target lsl 8) lor pid] in one CSR array.  The event of a step
+    (operation and response) is recomputed by {!out_edges} from the
+    step relation the graph was built with. *)
 
 open Lbsa_runtime
 
 type edge = { pid : int; event : Config.event; target : int }
+(** A step with its event, as {!out_edges} materializes it. *)
 
 (** An opt-in reduction of the explored graph (see DESIGN.md,
     "State-space reduction", for the soundness argument):
@@ -61,9 +67,9 @@ type reduction_stats = {
 val no_reduction_stats : reduction_stats
 
 (** Out-of-core spilling, opt-in per build: once more than
-    [spill_threshold] expanded (cold) states are resident, the oldest
-    ones — configurations and their CSR edge slice — move to disk
-    segments under [spill_dir] (see {!Segstore}), and the dedup entries
+    [spill_threshold] expanded (cold) states are resident, the
+    configurations of the oldest ones move to disk segments under
+    [spill_dir] (see {!Segstore}), and the dedup entries
     covering them are frozen to (hash, id) pairs that fault the
     configuration back only when a probe's full hash matches.  Spilling
     happens only at level boundaries: it never races expansion workers,
@@ -108,7 +114,7 @@ type stats = {
 }
 
 (** A partial exploration frozen at a level boundary: the node prefix
-    [0, s_expanded) has final out-edges, everything after it is the
+    [0, s_expanded) has final out-steps, everything after it is the
     unexpanded frontier.  Completed levels are identical for any domain
     count, so a suspended prefix — and a build resumed from it — is
     too.  Serialize with {!Checkpoint} (values are re-interned on
@@ -116,7 +122,9 @@ type stats = {
 type suspended = private {
   s_nodes : Config.t array;  (** every discovered configuration, id order *)
   s_expanded : int;
-  s_edges : edge array;
+  s_steps : int array;
+      (** the expanded prefix's steps, packed [(target lsl 8) lor pid],
+          CSR order *)
   s_offsets : int array;  (** length [s_expanded] *)
   s_dedup_hits : int;
   s_n_succs : int;
@@ -135,17 +143,20 @@ type t = private {
       (** the resident suffix, ids [n_base, n_base + length); the whole
           graph when the build did not spill ([n_base = 0]) *)
   n_base : int;
-  edges : edge array;  (** resident suffix of the flat CSR edge array *)
-  e_base : int;
   targets : int array;
       (** every edge, packed [(target lsl 8) lor pid] — always resident,
-          so pure-topology passes (SCC, valence sweep, cycle searches)
-          run with zero segment faults on an out-of-core graph *)
+          so every pass (SCC, valence sweep, cycle and path searches)
+          runs with zero segment faults on an out-of-core graph *)
   offsets : int array;
       (** length [nodes + 1]; node [id]'s out-edges are the slice
-          [offsets.(id) .. offsets.(id+1) - 1] of the edge array; empty
+          [offsets.(id) .. offsets.(id+1) - 1] of [targets]; empty
           slices for unexpanded frontier nodes of a partial build *)
-  segs : Segstore.t option;  (** the cold prefix, when the build spilled *)
+  segs : Segstore.t option;
+      (** configurations of the cold prefix, when the build spilled *)
+  successors : Config.t -> (int * (Config.t * Config.event) list) list;
+      (** the step relation the graph was built with (substrate and
+          reduction applied): per running pid, its branches in stored
+          order.  {!out_edges} re-runs it to recover events. *)
   initial : int;
   truncated : bool;
       (** true whenever [stop <> Done]; results are then partial *)
@@ -214,7 +225,7 @@ val build :
 val suspended_of_parts :
   nodes:Config.t array ->
   expanded:int ->
-  edges:edge array ->
+  steps:int array ->
   offsets:int array ->
   dedup_hits:int ->
   n_succs:int ->
@@ -242,7 +253,9 @@ val build_cmap :
     [Map.Make(Config)].  Kept as differential-testing oracle and
     benchmark baseline; produces a graph identical to {!build} —
     including under a nontrivial [reduce], which goes through the same
-    shared reduction step. *)
+    shared reduction step.  When [max_states] cuts it off, a node may
+    lose the steps into unregistered successors, and {!out_edges}
+    refuses such a node. *)
 
 val n_nodes : t -> int
 val n_edges : t -> int
@@ -251,26 +264,21 @@ val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
 val out_edges : t -> int -> edge list
-(** Allocates a fresh list; prefer {!iter_out_edges}/{!fold_out_edges}
-    on hot paths. *)
+(** The out-edges of [id] with their events, recomputed: re-runs
+    [successors] on [node t id] (faulting its segment in on an
+    out-of-core graph) and pairs the k-th step it lists with the k-th
+    stored one.  An empty slice answers [[]] without touching the
+    configuration.  Raises [Invalid_argument] if the recomputed pids or
+    step count differ from the stored ones.  Meant for printing
+    counterexamples; every analysis reads {!iter_out_steps}. *)
 
 val out_degree : t -> int -> int
-
-val edge_at : t -> int -> edge
-(** The full edge record at a flat CSR index (node [id] owns indices
-    [offsets.(id) .. offsets.(id+1) - 1]), faulting a segment in for
-    the cold prefix of an out-of-core graph. *)
-
-val iter_out_edges : t -> int -> (edge -> unit) -> unit
-val fold_out_edges : t -> int -> ('a -> edge -> 'a) -> 'a -> 'a
-val exists_out_edge : t -> int -> (edge -> bool) -> bool
 
 val iter_out_steps : t -> int -> (int -> int -> unit) -> unit
 (** [iter_out_steps t id f] calls [f pid target] for each out-edge of
     [id], straight from the packed targets array — no event
     materialization, no allocation, and no segment faults on an
-    out-of-core graph.  Prefer this (and {!exists_out_step}) for
-    topology-only passes. *)
+    out-of-core graph. *)
 
 val exists_out_step : t -> int -> (int -> int -> bool) -> bool
 
@@ -290,6 +298,18 @@ val find_map_node : t -> (int -> Config.t -> 'a option) -> 'a option
 
 val require_complete : t -> unit
 (** Raises {!Truncated} if the graph was cut off at [max_states]. *)
+
+val find_path :
+  ?ok:(int -> bool) ->
+  t ->
+  src:int ->
+  accept:(int -> int -> bool) ->
+  edge list option
+(** Breadth-first from [src] over the packed steps, entering only nodes
+    [ok] accepts (default: all): the shortest edge path whose last step
+    [(pid, target)] satisfies [accept pid target].  Deterministic (CSR
+    order); only the edges on the returned path are materialized, via
+    {!out_edges}. *)
 
 val shortest_path : t -> target:int -> edge list option
 (** Shortest edge path from the initial node to [target] — the schedule

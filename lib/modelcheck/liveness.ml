@@ -78,65 +78,23 @@ let cycle_trace w = Trace.of_events (List.map (fun e -> e.Graph.event) w.w_cycle
 let witness_pids w =
   List.sort_uniq Stdlib.compare (List.map (fun e -> e.Graph.pid) w.w_cycle)
 
-(* Deterministic BFS over edge indices from [src] until [accept u edge]
-   takes an edge, restricted to nodes with [ok node]; returns the edge
-   path ending with the accepted edge.  Edge order is CSR order, so the
-   result depends only on the graph. *)
-let bfs_edges graph ~ok ~src ~accept =
-  let n = Graph.n_nodes graph in
-  let parent = Array.make n (-1) in
-  let parent_node = Array.make n (-1) in
-  let seen = Array.make n false in
-  seen.(src) <- true;
-  let queue = Queue.create () in
-  Queue.add src queue;
-  let result = ref None in
-  let path_to u =
-    let rec walk v acc =
-      if v = src then acc
-      else walk parent_node.(v) (Graph.edge_at graph parent.(v) :: acc)
-    in
-    walk u []
-  in
-  while !result = None && not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    let lo = graph.Graph.offsets.(u) and hi = graph.Graph.offsets.(u + 1) in
-    let i = ref lo in
-    while !result = None && !i < hi do
-      let e = Graph.edge_at graph !i in
-      let v = e.Graph.target in
-      if accept u e then result := Some (path_to u @ [ e ])
-      else if ok v && not seen.(v) then begin
-        seen.(v) <- true;
-        parent.(v) <- !i;
-        parent_node.(v) <- u;
-        Queue.add v queue
-      end;
-      incr i
-    done
-  done;
-  !result
-
 (* A cycle through [head] inside component [in_comp], scheduling every
-   pid of [must_cover] at least once: greedily walk (BFS, deterministic)
-   to the nearest internal edge of a still-uncovered pid until all are
-   covered, then close back at [head].  The stitched walk may revisit
-   nodes — the Lasso shrinker exists to cut those detours. *)
+   pid of [must_cover] at least once: greedily walk ([Graph.find_path],
+   deterministic) to the nearest internal edge of a still-uncovered pid
+   until all are covered, then close back at [head].  The stitched walk
+   may revisit nodes — the Lasso shrinker exists to cut those detours. *)
 let cycle_through graph ~in_comp ~head ~must_cover =
   let uncovered = Hashtbl.create 8 in
   List.iter (fun pid -> Hashtbl.replace uncovered pid ()) must_cover;
-  let cover e =
-    List.iter (fun pid -> Hashtbl.remove uncovered pid)
-      [ e.Graph.pid ]
-  in
+  let cover e = Hashtbl.remove uncovered e.Graph.pid in
   let cycle = ref [] in
   let cur = ref head in
   let guard = ref (List.length must_cover + 1) in
   while Hashtbl.length uncovered > 0 && !guard > 0 do
     decr guard;
     match
-      bfs_edges graph ~ok:in_comp ~src:!cur ~accept:(fun _u e ->
-          in_comp e.Graph.target && Hashtbl.mem uncovered e.Graph.pid)
+      Graph.find_path graph ~ok:in_comp ~src:!cur ~accept:(fun pid v ->
+          in_comp v && Hashtbl.mem uncovered pid)
     with
     | None -> guard := 0 (* cannot happen for a fair component *)
     | Some path ->
@@ -148,8 +106,8 @@ let cycle_through graph ~in_comp ~head ~must_cover =
   else if !cur = head && !cycle <> [] then Some !cycle
   else
     match
-      bfs_edges graph ~ok:in_comp ~src:!cur ~accept:(fun _u e ->
-          e.Graph.target = head)
+      Graph.find_path graph ~ok:in_comp ~src:!cur ~accept:(fun _pid v ->
+          v = head)
     with
     | None -> None
     | Some path -> Some (!cycle @ path)

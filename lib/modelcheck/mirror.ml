@@ -25,19 +25,6 @@ type pconfig = {
   pstatus : pstatus array;
 }
 
-type pevent =
-  | POp of {
-      epid : int;
-      eobj : int;
-      ename : string;
-      eargs : pvalue list;
-      eresponse : pvalue;
-    }
-  | PDecide of { epid : int; evalue : pvalue }
-  | PAbort of { epid : int }
-
-type pedge = { ppid : int; pev : pevent; ptarget : int }
-
 (* --- freeze ------------------------------------------------------------- *)
 
 let rec freeze_value (v : Value.t) : pvalue =
@@ -65,23 +52,6 @@ let freeze_config (c : Config.t) =
     pstatus = Array.map freeze_status c.Config.status;
   }
 
-let freeze_event = function
-  | Config.Op_event { pid; obj; op; response } ->
-    POp
-      {
-        epid = pid;
-        eobj = obj;
-        ename = op.Op.name;
-        eargs = List.map freeze_value op.Op.args;
-        eresponse = freeze_value response;
-      }
-  | Config.Decide_event { pid; value } ->
-    PDecide { epid = pid; evalue = freeze_value value }
-  | Config.Abort_event { pid } -> PAbort { epid = pid }
-
-let freeze_step ~pid ~event ~target =
-  { ppid = pid; pev = freeze_event event; ptarget = target }
-
 (* --- thaw --------------------------------------------------------------- *)
 
 let rec thaw_value = function
@@ -107,18 +77,3 @@ let thaw_config c : Config.t =
     objects = Array.map thaw_value c.pobjects;
     status = Array.map thaw_status c.pstatus;
   }
-
-let thaw_event = function
-  | POp { epid; eobj; ename; eargs; eresponse } ->
-    Config.Op_event
-      {
-        pid = epid;
-        obj = eobj;
-        op = Op.make ename (List.map thaw_value eargs);
-        response = thaw_value eresponse;
-      }
-  | PDecide { epid; evalue } ->
-    Config.Decide_event { pid = epid; value = thaw_value evalue }
-  | PAbort { epid } -> Config.Abort_event { pid = epid }
-
-let thaw_step e = (e.ppid, thaw_event e.pev, e.ptarget)

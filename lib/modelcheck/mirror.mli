@@ -1,4 +1,4 @@
-(** The structural mirror of configurations and steps: a purely
+(** The structural mirror of configurations: a purely
     structural ADT with no intern ids and no sharing, safe to [Marshal]
     across process boundaries.
 
@@ -13,8 +13,10 @@
     invariant of the value core is exactly what makes the detour safe:
     nothing in a graph depends on the ids a run happened to assign.)
 
-    This module knows nothing about [Graph]; edges are mirrored as bare
-    [(pid, event, target)] triples so both {!Checkpoint} and
+    Only configurations cross the boundary: graph topology persists as
+    packed int arrays, and edge events are never stored — {!Graph}
+    recomputes them from the successor relation when asked.  This
+    module knows nothing about [Graph], so both {!Checkpoint} and
     {!Segstore} can share it without a dependency cycle. *)
 
 open Lbsa_runtime
@@ -38,27 +40,8 @@ type pconfig = {
   pstatus : pstatus array;
 }
 
-type pevent =
-  | POp of {
-      epid : int;
-      eobj : int;
-      ename : string;
-      eargs : pvalue list;
-      eresponse : pvalue;
-    }
-  | PDecide of { epid : int; evalue : pvalue }
-  | PAbort of { epid : int }
-
-type pedge = { ppid : int; pev : pevent; ptarget : int }
-
 val freeze_value : Lbsa_spec.Value.t -> pvalue
 val thaw_value : pvalue -> Lbsa_spec.Value.t
 
 val freeze_config : Config.t -> pconfig
 val thaw_config : pconfig -> Config.t
-
-val freeze_event : Config.event -> pevent
-val thaw_event : pevent -> Config.event
-
-val freeze_step : pid:int -> event:Config.event -> target:int -> pedge
-val thaw_step : pedge -> int * Config.event * int

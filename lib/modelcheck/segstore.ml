@@ -1,7 +1,7 @@
 open Lbsa_runtime
 
-(* Disk-spilled CSR segments.  See the .mli for the format and the
-   re-interning contract; the short version is that segments hold
+(* Disk-spilled configuration segments.  See the .mli for the format and
+   the re-interning contract; the short version is that segments hold
    Mirror forms, never Config.t, and every fault-in goes back through
    the Value smart constructors. *)
 
@@ -63,7 +63,7 @@ end
 
 (* --- the store ----------------------------------------------------------- *)
 
-let magic = "LBSA-SEG/1\n"
+let magic = "LBSA-SEG/2\n"
 
 exception Corrupt of string
 (* A spilled segment that fails validation on fault-in (bad magic,
@@ -73,12 +73,11 @@ exception Corrupt of string
    recompute from — the typed refusal propagates to the supervisor /
    CLI boundary (a clean partial exit), never an unmarshal crash. *)
 
-type seg = { lo : int; hi : int; elo : int; ehi : int; file : string }
+type seg = { lo : int; hi : int; file : string }
 
 type loaded = {
   l_seg : int; (* index into segs *)
   l_configs : Config.t array;
-  l_steps : (int * Config.event * int) array;
 }
 
 let cache_slots = 4
@@ -136,22 +135,20 @@ let create ~dir =
     clock = 0;
   }
 
-let write_segment t ~lo ~hi ~elo ~ehi ~configs ~edges =
+let write_segment t ~lo ~hi ~configs =
   if lo <> spilled_upto t then invalid_arg "Segstore.write_segment: gap";
-  if hi - lo <> Array.length configs || ehi - elo <> Array.length edges then
+  if hi - lo <> Array.length configs then
     invalid_arg "Segstore.write_segment: range/payload mismatch";
   let file = Filename.concat t.sdir (Printf.sprintf "seg-%012d.seg" lo) in
   Lbsa_util.Rio.with_atomic_file ~site:"segstore.write" ~path:file (fun w ->
       let sink = Lbsa_util.Rio.write_string w in
       sink magic;
       Segio.write_section_sink sink ~tag:"SEGMETA"
-        (Marshal.to_string (lo, hi, elo, ehi) []);
+        (Marshal.to_string (lo, hi) []);
       Segio.write_section_sink sink ~tag:"SEGNODES"
-        (Marshal.to_string configs []);
-      Segio.write_section_sink sink ~tag:"SEGEDGES"
-        (Marshal.to_string edges []));
+        (Marshal.to_string configs []));
   t.bytes <- t.bytes + (try (Unix.stat file).Unix.st_size with Unix.Unix_error _ -> 0);
-  t.segs <- Array.append t.segs [| { lo; hi; elo; ehi; file } |]
+  t.segs <- Array.append t.segs [| { lo; hi; file } |]
 
 (* One parse attempt.  Raises [Corrupt] for a validation defect (the
    file's bytes are wrong — retrying cannot help), [Sys_error] /
@@ -185,21 +182,13 @@ let read_seg_file t idx =
         with Failure msg | Invalid_argument msg ->
           corrupt "Segstore: %s: undecodable section: %s" s.file msg
       in
-      let lo', hi', elo', ehi' =
-        (unmarshal (expect "SEGMETA") : int * int * int * int)
-      in
-      if lo' <> s.lo || hi' <> s.hi || elo' <> s.elo || ehi' <> s.ehi then
+      let lo', hi' = (unmarshal (expect "SEGMETA") : int * int) in
+      if lo' <> s.lo || hi' <> s.hi then
         corrupt "Segstore: %s: range mismatch" s.file;
       let pconfigs = (unmarshal (expect "SEGNODES") : Mirror.pconfig array) in
-      let pedges = (unmarshal (expect "SEGEDGES") : Mirror.pedge array) in
-      if Array.length pconfigs <> s.hi - s.lo
-         || Array.length pedges <> s.ehi - s.elo
-      then corrupt "Segstore: %s: payload/range mismatch" s.file;
-      {
-        l_seg = idx;
-        l_configs = Array.map Mirror.thaw_config pconfigs;
-        l_steps = Array.map Mirror.thaw_step pedges;
-      })
+      if Array.length pconfigs <> s.hi - s.lo then
+        corrupt "Segstore: %s: payload/range mismatch" s.file;
+      { l_seg = idx; l_configs = Array.map Mirror.thaw_config pconfigs })
 
 (* Fault-in with the recompute-or-refuse policy: a device error gets
    one backed-off retry (transient EIO, injected or real); a validation
@@ -247,30 +236,22 @@ let cached t idx =
     l
 
 (* Binary search over the sorted, contiguous segment array. *)
-let seg_index t ~key ~lo_of ~hi_of =
-  let n = Array.length t.segs in
+let seg_index t id =
   let rec go lo hi =
     if lo >= hi then invalid_arg "Segstore: index out of spilled range"
     else
       let mid = (lo + hi) / 2 in
       let s = t.segs.(mid) in
-      if key < lo_of s then go lo mid
-      else if key >= hi_of s then go (mid + 1) hi
+      if id < s.lo then go lo mid
+      else if id >= s.hi then go (mid + 1) hi
       else mid
   in
-  go 0 n
+  go 0 (Array.length t.segs)
 
 let node t id =
-  let idx = seg_index t ~key:id ~lo_of:(fun s -> s.lo) ~hi_of:(fun s -> s.hi) in
+  let idx = seg_index t id in
   let l = cached t idx in
   l.l_configs.(id - t.segs.(idx).lo)
-
-let step t i =
-  let idx =
-    seg_index t ~key:i ~lo_of:(fun s -> s.elo) ~hi_of:(fun s -> s.ehi)
-  in
-  let l = cached t idx in
-  l.l_steps.(i - t.segs.(idx).elo)
 
 let remove_all t =
   Array.iter

@@ -1,16 +1,19 @@
-(** Out-of-core segment store: cold node-id ranges of an exploration
-    (their configurations and their CSR edge slice) spilled to disk and
-    faulted back in on demand.
+(** Out-of-core segment store: the configurations of cold node-id
+    ranges of an exploration, spilled to disk and faulted back in on
+    demand through a small cache of loaded segments.  Segments hold
+    configurations only — the graph's topology stays resident in its
+    packed step array, and edge events are recomputed from the
+    successor relation (see {!Graph.out_edges}), so nothing else needs
+    to spill.
 
     A segment covers a half-open id range [lo, hi) of the expanded
-    prefix together with its edge-index range [elo, ehi); segments are
-    written in increasing id order and never overlap, so lookup is a
-    binary search.  Files carry the same magic + per-section checksum
-    discipline as checkpoints (see {!Segio}); payloads are the
-    structural {!Mirror} forms, and fault-in re-interns every value
-    through the [Value] smart constructors, so the id-never-orders
-    invariant survives a round trip through disk exactly as it does for
-    checkpoints.
+    prefix; segments are written in increasing id order and never
+    overlap, so lookup is a binary search.  Files carry the same magic
+    + per-section checksum discipline as checkpoints (see {!Segio});
+    payloads are the structural {!Mirror} forms, and fault-in
+    re-interns every value through the [Value] smart constructors, so
+    the id-never-orders invariant survives a round trip through disk
+    exactly as it does for checkpoints.
 
     Spilled segments are scratch, not durable state: {!create} clears
     any stale [seg-*.seg] files in the directory (a resumed run
@@ -19,7 +22,7 @@
 
 open Lbsa_runtime
 
-(** Framed section IO shared with the version-3 checkpoint format: each
+(** Framed section IO shared with the graph and fuzz checkpoints: each
     section is an 8-byte tag, a big-endian payload length, a big-endian
     FNV-1a payload checksum, then the payload.  [read_section] raises
     [Failure] on any framing or checksum defect and returns [None] at a
@@ -52,28 +55,16 @@ val create : dir:string -> t
 val dir : t -> string
 
 val write_segment :
-  t ->
-  lo:int ->
-  hi:int ->
-  elo:int ->
-  ehi:int ->
-  configs:Mirror.pconfig array ->
-  edges:Mirror.pedge array ->
-  unit
-(** Spills ids [lo, hi) (configs, in id order) and their out-edge slice
-    [elo, ehi) (edges, in CSR order).  Ranges must extend the store:
-    [lo] equals the previous segment's [hi] (or 0). *)
+  t -> lo:int -> hi:int -> configs:Mirror.pconfig array -> unit
+(** Spills the configurations of ids [lo, hi), in id order.  Ranges
+    must extend the store: [lo] equals the previous segment's [hi] (or
+    0). *)
 
 val node : t -> int -> Config.t
 (** [node t id] faults in the segment covering [id] (if not cached) and
     returns its re-interned configuration.  Raises [Invalid_argument]
     if no segment covers [id]; raises {!Corrupt} (after one backed-off
     retry for device-level errors) if the segment fails validation. *)
-
-val step : t -> int -> int * Config.event * int
-(** [step t i] returns the [(pid, event, target)] of global edge index
-    [i], faulting in the covering segment.  Raises [Invalid_argument]
-    if no segment covers [i]; raises {!Corrupt} like {!node}. *)
 
 val spilled_upto : t -> int
 (** One past the highest spilled node id (0 when empty). *)

@@ -280,17 +280,6 @@ let test_segstore_flipped_byte () =
   let n = min 4 (Cgraph.n_nodes g) in
   let configs = Array.init n (fun id -> Cgraph.node g id) in
   let pconfigs = Array.map Mirror.freeze_config configs in
-  let edges =
-    Array.of_list
-      (List.concat_map
-         (fun id ->
-           List.map
-             (fun (e : Cgraph.edge) ->
-               Mirror.freeze_step ~pid:e.Cgraph.pid ~event:e.Cgraph.event
-                 ~target:e.Cgraph.target)
-             (Cgraph.out_edges g id))
-         (List.init n Fun.id))
-  in
   let seg_file_of dir =
     match
       Array.to_list (Sys.readdir dir)
@@ -305,8 +294,7 @@ let test_segstore_flipped_byte () =
     ~finally:(fun () -> rm_rf dir0)
     (fun () ->
       let t0 = Segstore.create ~dir:dir0 in
-      Segstore.write_segment t0 ~lo:0 ~hi:n ~elo:0 ~ehi:(Array.length edges)
-        ~configs:pconfigs ~edges;
+      Segstore.write_segment t0 ~lo:0 ~hi:n ~configs:pconfigs;
       Alcotest.(check bool)
         "pristine fault-in round-trips" true
         (Config.equal configs.(0) (Segstore.node t0 0)));
@@ -317,8 +305,7 @@ let test_segstore_flipped_byte () =
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
       let t = Segstore.create ~dir in
-      Segstore.write_segment t ~lo:0 ~hi:n ~elo:0 ~ehi:(Array.length edges)
-        ~configs:pconfigs ~edges;
+      Segstore.write_segment t ~lo:0 ~hi:n ~configs:pconfigs;
       let seg_file = seg_file_of dir in
       let bytes = Bytes.of_string (read_file seg_file) in
       let i = Bytes.length bytes - 7 in
@@ -444,17 +431,6 @@ let test_fault_plan_sweep () =
   let nseg = min 4 (Cgraph.n_nodes g) in
   let seg_configs = Array.init nseg (fun id -> Cgraph.node g id) in
   let seg_pconfigs = Array.map Mirror.freeze_config seg_configs in
-  let seg_edges =
-    Array.of_list
-      (List.concat_map
-         (fun id ->
-           List.map
-             (fun (e : Cgraph.edge) ->
-               Mirror.freeze_step ~pid:e.Cgraph.pid ~event:e.Cgraph.event
-                 ~target:e.Cgraph.target)
-             (Cgraph.out_edges g id))
-         (List.init nseg Fun.id))
-  in
   let survived = ref 0 and refused = ref 0 in
   Fun.protect
     ~finally:(fun () -> Rio.disarm ())
@@ -516,9 +492,7 @@ let test_fault_plan_sweep () =
           (fun () ->
             match
               let t = Segstore.create ~dir:sdir in
-              Segstore.write_segment t ~lo:0 ~hi:nseg ~elo:0
-                ~ehi:(Array.length seg_edges) ~configs:seg_pconfigs
-                ~edges:seg_edges;
+              Segstore.write_segment t ~lo:0 ~hi:nseg ~configs:seg_pconfigs;
               t
             with
             | exception Unix.Unix_error _ -> incr refused

@@ -87,6 +87,38 @@ let test_vc_lasso_shrinks () =
     Alcotest.(check int) "second shrink finds nothing" 0 accepted;
     Alcotest.(check int) "idempotent size" (Lasso.size w) (Lasso.size w2)
 
+(* A lasso found on an out-of-core graph: the search runs over packed
+   steps, and only the witness's edges are materialized — their events
+   recomputed from configurations faulted back in from segments.  The
+   rendered, shrunk witness must be byte-identical to the resident
+   build's. *)
+let test_spilled_witness () =
+  let inst = vc 2 in
+  let rendered g =
+    match (analyze ~substrate:mp inst g).Liveness.verdict with
+    | Liveness.Live -> Alcotest.fail "expected a livelock"
+    | Liveness.Livelock w0 ->
+      let w, _ = shrink ~substrate:mp inst ~graph:g w0 in
+      Fmt.str "%a" Liveness.pp_witness w
+  in
+  let dir = Filename.temp_file "lbsa-spill" ".d" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () -> Segstore.clean_dir ~dir)
+    (fun () ->
+      let machine, specs, inputs = inst in
+      let spilled =
+        Cgraph.build ~domains:1 ~substrate:mp
+          ~spill:{ Cgraph.spill_dir = dir; spill_threshold = 4 }
+          ~machine ~specs ~inputs ()
+      in
+      Alcotest.(check bool)
+        "segments written" true
+        ((Cgraph.stats spilled).Cgraph.spill.Cgraph.sp_segments > 0);
+      Alcotest.(check string)
+        "same shrunk lasso" (rendered (build ~substrate:mp inst))
+        (rendered spilled))
+
 let test_bcast_live () =
   let inst = bcast 2 in
   let g = build ~substrate:mp inst in
@@ -480,6 +512,8 @@ let () =
             test_vc3_witness_choice;
           Alcotest.test_case "vc:2 lasso shrinks and pins" `Quick
             test_vc_lasso_shrinks;
+          Alcotest.test_case "vc:2 lasso on a spilled graph" `Quick
+            test_spilled_witness;
           Alcotest.test_case "bcast:2 control is live" `Quick test_bcast_live;
         ] );
       ( "oracle",

@@ -455,6 +455,39 @@ let test_fuzz_checkpoint_roundtrip () =
       Alcotest.(check bool) "same (absent) failure" true
         (full.Fuzz_engine.failure = None && resumed.Fuzz_engine.failure = None))
 
+(* A fuzz checkpoint whose body was damaged on disk must be refused,
+   never resumed from: flipping the byte that holds the completed count
+   would otherwise silently skip (or repeat) trials. *)
+let test_fuzz_checkpoint_flipped_byte () =
+  let target = "spec flip-target" in
+  let ckpt = { Fuzz_engine.ckpt_seed = 42; ckpt_done = [ (target, 0) ] } in
+  let file = Filename.temp_file "lbsa-fuzz" ".ckpt" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
+    (fun () ->
+      Fuzz_engine.save_checkpoint ~file ckpt;
+      let bytes =
+        Bytes.of_string (In_channel.with_open_bin file In_channel.input_all)
+      in
+      (* the marshalled count (small int 0, byte 0x40) follows the name *)
+      let rec find i =
+        if Bytes.sub_string bytes i (String.length target) = target then
+          i + String.length target
+        else find (i + 1)
+      in
+      let i = find 0 in
+      Alcotest.(check int)
+        "count byte located" 0x40
+        (Char.code (Bytes.get bytes i));
+      Bytes.set bytes i (Char.chr (0x40 lxor 0x3f));
+      Out_channel.with_open_bin file (fun oc ->
+          Out_channel.output_bytes oc bytes);
+      match Fuzz_engine.load_checkpoint ~file with
+      | exception Failure _ -> ()
+      | c ->
+        Alcotest.failf "flipped checkpoint loaded (resume start %d)"
+          (Fuzz_engine.resume_start c ~name:target))
+
 let test_shrink_budget_zero_reports_no_shrink () =
   (* Regression: a 0-budget descent returns the original case, which
      used to be reported as [shrunk = Some original] — a "shrunk to N
@@ -729,25 +762,29 @@ let test_spill_checkpoint_resume () =
       in
       same_graph "resume into a spilled build" full resumed_spilled)
 
-(* The version-3 compatibility rule: a coherent checkpoint from an
-   older format version raises [Version_mismatch] (CLIs exit 2), never
+(* The compatibility rule: a coherent checkpoint from an older format
+   version — /2 from before the framed sections, /4 from before the
+   topology-only graph — raises [Version_mismatch] (CLIs exit 2), never
    [Failure] and never a misread. *)
 let test_checkpoint_v2_refused () =
   let file = Filename.temp_file "lbsa-ckpt" ".bin" in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists file then Sys.remove file)
     (fun () ->
-      let oc = open_out_bin file in
-      output_string oc "LBSA-CHECKPOINT/2\nwhatever the old format held";
-      close_out oc;
-      match Checkpoint.load ~file with
-      | exception Checkpoint.Version_mismatch msg ->
-        Alcotest.(check bool)
-          "names the found version" true
-          (contains_sub ~sub:"LBSA-CHECKPOINT/2" msg)
-      | exception Failure msg ->
-        Alcotest.failf "old version reported as plain failure: %s" msg
-      | _ -> Alcotest.fail "version-2 checkpoint accepted")
+      List.iter
+        (fun version ->
+          let oc = open_out_bin file in
+          output_string oc (version ^ "\nwhatever the old format held");
+          close_out oc;
+          match Checkpoint.load ~file with
+          | exception Checkpoint.Version_mismatch msg ->
+            Alcotest.(check bool)
+              (version ^ ": names the found version") true
+              (contains_sub ~sub:version msg)
+          | exception Failure msg ->
+            Alcotest.failf "%s reported as plain failure: %s" version msg
+          | _ -> Alcotest.failf "%s checkpoint accepted" version)
+        [ "LBSA-CHECKPOINT/2"; "LBSA-CHECKPOINT/4" ])
 
 let () =
   Alcotest.run "supervisor"
@@ -796,6 +833,8 @@ let () =
             test_fan_budget_stops_and_resumes;
           Alcotest.test_case "fuzz checkpoint roundtrip" `Quick
             test_fuzz_checkpoint_roundtrip;
+          Alcotest.test_case "fuzz checkpoint flipped byte refused" `Quick
+            test_fuzz_checkpoint_flipped_byte;
           Alcotest.test_case "shrink budget 0 reports no shrink" `Quick
             test_shrink_budget_zero_reports_no_shrink;
           Alcotest.test_case "campaign_supervised stops cleanly" `Quick
