@@ -15,6 +15,18 @@ let hr title = Fmt.pr "@.%s@.%s@." title (String.make (String.length title) '-')
 
 let cell = Fmt.pr "| %-52s | %-36s |@."
 
+(* A fuzz campaign over fixed client programs under random schedules and
+   object adversaries: [Ok trials], or [Error i] for the first failing
+   trial. *)
+let campaign ~seed ~trials ~impl workloads =
+  let r =
+    Fuzz_engine.fuzz_impl ~shrink:false ~trials ~seed
+      (Fuzz_targets.fixed ~impl workloads)
+  in
+  match r.Fuzz_engine.failure with
+  | None -> Ok r.Fuzz_engine.completed
+  | Some f -> Error f.Fuzz_engine.trial
+
 let verdict_cell (v : Solvability.verdict) ~expect_ok =
   let status =
     if v.Solvability.ok = expect_ok then "as predicted" else "MISMATCH"
@@ -241,10 +253,10 @@ let table_t5 () =
        [ O_prime.propose (Value.int 31) 2; O_prime.propose (Value.int 32) 4 ];
      |]
    in
-   match Harness.campaign ~seed:5 ~trials:500 ~impl ~workloads () with
+   match campaign ~seed:5 ~trials:500 ~impl workloads with
    | Ok t ->
      cell "O'_2 (K = 4), randomized campaign" (Fmt.str "%d/%d trials ok" t t)
-   | Error (i, _) ->
+   | Error i ->
      cell "O'_2 (K = 4), randomized campaign" (Fmt.str "trial %d FAILED" i));
   (let impl = Snapshot_impl.implementation ~n:3 in
    let workloads =
@@ -252,11 +264,11 @@ let table_t5 () =
          [ Classic.Snapshot.update pid (Value.int (pid + 1));
            Classic.Snapshot.scan ])
    in
-   match Harness.campaign ~seed:7 ~trials:300 ~impl ~workloads () with
+   match campaign ~seed:7 ~trials:300 ~impl workloads with
    | Ok t ->
      cell "3-snapshot from registers (Afek et al.)"
        (Fmt.str "%d/%d trials ok" t t)
-   | Error (i, _) ->
+   | Error i ->
      cell "3-snapshot from registers (Afek et al.)"
        (Fmt.str "trial %d FAILED" i));
   let impl = Snapshot_impl.naive ~n:3 in
@@ -392,12 +404,12 @@ let table_t8 () =
     (fun (label, target, workloads) ->
       let n = Array.length workloads in
       let impl = Universal.implementation ~n ~target () in
-      match Harness.campaign ~seed:1 ~trials:300 ~impl ~workloads () with
+      match campaign ~seed:1 ~trials:300 ~impl workloads with
       | Ok t ->
         cell
           (Fmt.str "universal: %s among %d, from %d-consensus + regs" label n n)
           (Fmt.str "%d/%d trials linearizable" t t)
-      | Error (i, _) ->
+      | Error i ->
         cell (Fmt.str "universal: %s" label) (Fmt.str "trial %d FAILED" i))
     [
       ( "queue",

@@ -10,7 +10,7 @@
      lbsa valence --protocol cons -m 2
      lbsa power -n 2 --max-k 3
      lbsa separation -n 2 --max-k 3
-     lbsa lin-check --impl snapshot:3 --trials 200
+     lbsa lin-check --impl snapshot -n 3 --trials 200
      lbsa fuzz --impl snapshot:3 --trials 1000 --faults 2 --seed 42
      lbsa objects
 
@@ -808,82 +808,7 @@ let separation_cmd =
        ~doc:"Assemble the Corollary 6.6 artifacts for a given n.")
     Term.(const separation $ n_arg $ max_k_arg $ max_states_arg)
 
-(* --- lin-check ----------------------------------------------------------- *)
-
-let impls ~n ~m ~max_k =
-  [
-    ("snapshot", fun () -> Snapshot_impl.implementation ~n);
-    ("naive-snapshot", fun () -> Snapshot_impl.naive ~n);
-    ("pacnm", fun () -> Pac_nm_impl.implementation ~n ~m);
-    ( "oprime",
-      fun () ->
-        Oprime_impl.implementation ~power:(O_prime.default_power ~n ~max_k) );
-  ]
-
-let default_workloads name ~n ~max_k =
-  match name with
-  | "snapshot" | "naive-snapshot" ->
-    Array.init n (fun pid ->
-        [ Classic.Snapshot.update pid (Value.int (pid + 1));
-          Classic.Snapshot.scan ])
-  | "pacnm" ->
-    Array.init n (fun pid ->
-        [ Pac_nm.propose_p (Value.int pid) (pid + 1); Pac_nm.decide_p (pid + 1);
-          Pac_nm.propose_c (Value.int pid) ])
-  | "oprime" ->
-    Array.init n (fun pid ->
-        List.map
-          (fun k -> O_prime.propose (Value.int (pid + (10 * k))) k)
-          (Listx.range 1 max_k))
-  | _ -> [||]
-
-let lin_check name n m max_k trials seed deadline =
-  match List.assoc_opt name (impls ~n ~m ~max_k) with
-  | None ->
-    Fmt.epr "unknown implementation %S; known: %s@." name
-      (String.concat ", " (List.map fst (impls ~n ~m ~max_k)));
-    3
-  | Some mk ->
-    let budget = mk_budget ?deadline ~chaos:None () in
-    let impl = mk () in
-    let workloads = default_workloads name ~n ~max_k in
-    Fmt.pr "implementation %s over %d clients, %d random trials...@."
-      impl.Implementation.name (Array.length workloads) trials;
-    (match Harness.campaign_supervised ~budget ~seed ~trials ~impl ~workloads () with
-    | Harness.All_pass t ->
-      Fmt.pr "all %d trials linearizable@." t;
-      0
-    | Harness.Failed (i, run) ->
-      Fmt.pr "trial %d NOT linearizable; history:@.%a@." i Chistory.pp
-        run.Harness.history;
-      1
-    | Harness.Stopped { completed; outcome } ->
-      Fmt.pr "stopped (%a) after %d/%d trials, all linearizable@."
-        Supervisor.pp_outcome outcome completed trials;
-      2)
-
-let lin_check_cmd =
-  let impl_name =
-    Arg.(
-      value
-      & opt string "snapshot"
-      & info [ "impl" ] ~docv:"NAME"
-          ~doc:"snapshot | naive-snapshot | pacnm | oprime.")
-  in
-  let trials =
-    Arg.(
-      value & opt int 200 & info [ "trials" ] ~docv:"T" ~doc:"Random trials.")
-  in
-  Cmd.v
-    (Cmd.info "lin-check"
-       ~doc:
-         "Drive an implementation with concurrent clients and check \
-          linearizability.")
-    Term.(
-      const lin_check $ impl_name $ n_arg $ m_arg $ max_k_arg $ trials
-      $ seed_arg $ deadline_arg)
-
-(* --- fuzz ----------------------------------------------------------------- *)
+(* --- fuzz ---------------------------------------------------------------- *)
 
 let fuzz impl_names spec_names trials procs ops faults seed no_shrink domains
     deadline chaos shrink_budget ckpt_file resume_file =
@@ -902,7 +827,14 @@ let fuzz impl_names spec_names trials procs ops faults seed no_shrink domains
   in
   let impls = parse_targets ~what:"impl" ~parse:Fuzz_targets.impl_target impl_names in
   let specs = parse_targets ~what:"spec" ~parse:Fuzz_targets.spec_target spec_names in
-  if (impls = [] && impl_names <> []) || (specs = [] && spec_names <> []) then 3
+  if trials < 1 then begin
+    Fmt.epr "--trials must be >= 1, got %d@." trials;
+    3
+  end
+  else if
+    List.length impls < List.length impl_names
+    || List.length specs < List.length spec_names
+  then 3
   else begin
     match
       Option.map (fun file -> Fuzz_engine.load_checkpoint ~file) resume_file
@@ -1050,27 +982,58 @@ let fuzz_cmd =
       $ seed_arg $ no_shrink $ domains $ deadline_arg $ chaos_arg
       $ shrink_budget $ checkpoint_arg $ resume_arg)
 
-(* --- universal / bg / qadri ------------------------------------------------ *)
+(* --- lin-check / universal ----------------------------------------------- *)
+
+(* lin-check and universal are views over fuzz: their flags name one
+   implementation target, and the campaign, shrinking, report and exit
+   code are fuzz's own, at fuzz's defaults for what they do not
+   expose. *)
+let fuzz_one desc ~trials ~seed ~deadline =
+  let procs = 3 and ops = 4 and faults = 0 and no_shrink = false in
+  let domains = 0 and chaos = None and ckpt_file = None and resume_file = None in
+  fuzz [ desc ] [] trials procs ops faults seed no_shrink domains deadline chaos
+    Fuzz_engine.default_shrink_budget ckpt_file resume_file
+
+let lin_check name n m max_k trials seed deadline =
+  match name with
+  | "snapshot" | "naive-snapshot" ->
+    fuzz_one (Fmt.str "%s:%d" name n) ~trials ~seed ~deadline
+  | "pacnm" -> fuzz_one (Fmt.str "pacnm:%d:%d" n m) ~trials ~seed ~deadline
+  | "oprime" ->
+    fuzz_one (Fmt.str "oprime:%d:%d" n max_k) ~trials ~seed ~deadline
+  | _ ->
+    Fmt.epr
+      "unknown implementation %S; known: snapshot, naive-snapshot, pacnm, \
+       oprime@."
+      name;
+    3
+
+let lin_check_cmd =
+  let impl_name =
+    Arg.(
+      value
+      & opt string "snapshot"
+      & info [ "impl" ] ~docv:"NAME"
+          ~doc:
+            "snapshot | naive-snapshot (fuzz target NAME:N), pacnm \
+             (pacnm:N:M) or oprime (oprime:N:K).")
+  in
+  let trials =
+    Arg.(
+      value & opt int 200 & info [ "trials" ] ~docv:"T" ~doc:"Random trials.")
+  in
+  Cmd.v
+    (Cmd.info "lin-check"
+       ~doc:
+         "Drive an implementation with concurrent clients and check \
+          linearizability: the fuzz campaign of the named target, with \
+          fuzz's report and exit codes.")
+    Term.(
+      const lin_check $ impl_name $ n_arg $ m_arg $ max_k_arg $ trials
+      $ seed_arg $ deadline_arg)
 
 let universal n trials seed =
-  let target = Classic.Queue_obj.spec () in
-  let impl = Universal.implementation ~n ~target () in
-  let workloads =
-    Array.init n (fun pid ->
-        [ Classic.Queue_obj.enqueue (Value.int (100 + pid));
-          Classic.Queue_obj.dequeue ])
-  in
-  Fmt.pr
-    "universal construction: FIFO queue among %d clients from %d-consensus + \
-     registers; %d random schedules...@."
-    n n trials;
-  match Harness.campaign ~seed ~trials ~impl ~workloads () with
-  | Ok t ->
-    Fmt.pr "all %d runs linearizable@." t;
-    0
-  | Error (i, run) ->
-    Fmt.pr "trial %d NOT linearizable:@.%a@." i Chistory.pp run.Harness.history;
-    1
+  fuzz_one (Fmt.str "universal:%d" n) ~trials ~seed ~deadline:None
 
 let universal_cmd =
   let trials =
@@ -1079,8 +1042,10 @@ let universal_cmd =
   Cmd.v
     (Cmd.info "universal"
        ~doc:"Run Herlihy's universal construction (queue target) and check \
-             linearizability.")
+             linearizability: the fuzz campaign of universal:N.")
     Term.(const universal $ n_arg $ trials $ seed_arg)
+
+(* --- bg / qadri ----------------------------------------------------------- *)
 
 let bg simulators trials seed =
   let p = Sim_protocol.min_seen ~n_sim:3 ~steps:1 in

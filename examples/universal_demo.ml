@@ -37,10 +37,15 @@ let show_target ~name ~target ~workloads ~trials =
             Fmt.pf ppf "p%d.%s" c.Chistory.pid c.Chistory.op.Op.name))
       order
   | Lin_checker.Not_linearizable -> Fmt.pr "  NOT linearizable (bug!)@.");
-  (* Then a campaign. *)
-  match Harness.campaign ~seed:1 ~trials ~impl ~workloads () with
-  | Ok t -> Fmt.pr "  campaign: %d/%d random schedules linearizable@." t t
-  | Error (i, _) -> Fmt.pr "  campaign: trial %d FAILED@." i
+  (* Then a fuzz campaign: the same client programs under random
+     schedules and object adversaries. *)
+  let r =
+    Fuzz_engine.fuzz_impl ~trials ~seed:1 (Fuzz_targets.fixed ~impl workloads)
+  in
+  match r.Fuzz_engine.failure with
+  | None ->
+    Fmt.pr "  campaign: %d/%d random schedules linearizable@." trials trials
+  | Some f -> Fmt.pr "  campaign: trial %d FAILED@." f.Fuzz_engine.trial
 
 let () =
   Fmt.pr

@@ -11,6 +11,13 @@ module Prng = Lbsa_util.Prng
 
 let small_int prng = Value.int (Prng.int prng 4)
 
+(* A size field of a description; a non-integer is [bad] syntax. *)
+let int_field ~bad v =
+  match int_of_string_opt v with Some i -> i | None -> bad ()
+
+let bad_spec desc () =
+  invalid_arg (Fmt.str "Fuzz targets: cannot parse spec %S" desc)
+
 (* --- spec-level targets ------------------------------------------------ *)
 
 type spec_target = {
@@ -34,7 +41,8 @@ let rec spec_target desc =
        delays under the fuzzer's oracle.  Not a registry object — the
        alphabet is per-instantiation — so it is built directly and kept
        out of [all_specs]. *)
-    let n = int_of_string n and t = int_of_string t in
+    let int = int_field ~bad:(bad_spec desc) in
+    let n = int n and t = int t in
     if n < 1 || t < 1 then
       invalid_arg "Fuzz targets: mpnet:<n>:<t> needs n >= 1 and t >= 1";
     let types = List.init t (Fmt.str "m%d") in
@@ -54,6 +62,7 @@ let rec spec_target desc =
 
 and registry_spec_target desc =
   let spec = Registry.of_string desc in
+  let int = int_field ~bad:(bad_spec desc) in
   let gen_op, procs =
     match String.split_on_char ':' desc with
     | [ "reg" ] | [ "reg"; _ ] ->
@@ -66,16 +75,16 @@ and registry_spec_target desc =
     | [ "2sa" ] -> ((fun ~pid:_ prng -> Sa2.propose (small_int prng)), 3)
     | [ "nksa"; n; _ ] ->
       ( (fun ~pid:_ prng -> Nk_sa.propose (small_int prng)),
-        max 2 (min (int_of_string n) 4) )
+        max 2 (min (int n) 4) )
     | [ "pac"; n ] ->
-      let n = int_of_string n in
+      let n = int n in
       ( (fun ~pid:_ prng ->
           let i = 1 + Prng.int prng n in
           if Prng.bool prng then Pac.propose (small_int prng) i
           else Pac.decide i),
         3 )
     | [ "pacnm"; n; _ ] ->
-      let n = int_of_string n in
+      let n = int n in
       ( (fun ~pid:_ prng ->
           match pac_family_op ~ports:n prng with
           | `Propose_c -> Pac_nm.propose_c (small_int prng)
@@ -84,7 +93,7 @@ and registry_spec_target desc =
         3 )
     | [ "on"; n ] ->
       (* O_n = (n+1, n)-PAC, so its PAC facet has n+1 ports. *)
-      let ports = int_of_string n + 1 in
+      let ports = int n + 1 in
       ( (fun ~pid:_ prng ->
           match pac_family_op ~ports prng with
           | `Propose_c -> O_n.propose_c (small_int prng)
@@ -92,7 +101,7 @@ and registry_spec_target desc =
           | `Decide_p i -> O_n.decide_p i),
         3 )
     | [ "oprime"; _; max_k ] ->
-      let max_k = int_of_string max_k in
+      let max_k = int max_k in
       ( (fun ~pid:_ prng ->
           O_prime.propose (small_int prng) (1 + Prng.int prng max_k)),
         3 )
@@ -132,7 +141,7 @@ and registry_spec_target desc =
           else Classic.Sticky.read),
         3 )
     | [ "snapshot"; m ] ->
-      let m = int_of_string m in
+      let m = int m in
       ( (fun ~pid prng ->
           if Prng.bool prng then Classic.Snapshot.update (pid mod m) (small_int prng)
           else Classic.Snapshot.scan),
@@ -181,6 +190,16 @@ let of_gen idesc impl iprocs gen_op =
         workloads_of_gen ~procs:iprocs ~gen_op ~ops_per_proc prng);
   }
 
+(* Fixed client programs under the fuzzer's random schedules and object
+   adversaries: the generator ignores its budget and its PRNG. *)
+let fixed ~(impl : Implementation.t) workloads =
+  {
+    idesc = impl.name;
+    impl;
+    iprocs = Array.length workloads;
+    gen_workloads = (fun ~ops_per_proc:_ _ -> workloads);
+  }
+
 let bad_desc desc =
   invalid_arg
     (Fmt.str
@@ -191,26 +210,27 @@ let bad_desc desc =
        desc)
 
 let impl_target desc =
+  let int = int_field ~bad:(fun () -> bad_desc desc) in
   match String.split_on_char ':' desc with
   | [ "snapshot"; n ] ->
     (* Single-writer per construction: pid writes component pid. *)
-    let n = int_of_string n in
+    let n = int n in
     of_gen desc (Snapshot_impl.implementation ~n) n (fun ~pid prng ->
         if Prng.bool prng then Classic.Snapshot.update pid (small_int prng)
         else Classic.Snapshot.scan)
   | [ "naive-snapshot"; n ] ->
-    let n = int_of_string n in
+    let n = int n in
     of_gen desc (Snapshot_impl.naive ~n) n (fun ~pid prng ->
         if Prng.bool prng then Classic.Snapshot.update pid (small_int prng)
         else Classic.Snapshot.scan)
   | [ "pacnm"; n; m ] ->
-    let n = int_of_string n and m = int_of_string m in
+    let n = int n and m = int m in
     let st = spec_target (Fmt.str "pacnm:%d:%d" n m) in
     of_gen desc (Pac_nm_impl.implementation ~n ~m) st.procs st.gen_op
   | [ "oprime"; n; max_k ] ->
     (* Port-bound contract: each pid proposes at each level at most
        once, so per-level call totals stay within n <= n_k. *)
-    let n = int_of_string n and max_k = int_of_string max_k in
+    let n = int n and max_k = int max_k in
     {
       idesc = desc;
       impl = Oprime_impl.for_n ~n ~max_k;
@@ -229,23 +249,23 @@ let impl_target desc =
                   O_prime.propose (small_int prng) levels.(j))));
     }
   | [ "universal"; n ] ->
-    let n = int_of_string n in
+    let n = int n in
     let queue = spec_target "queue" in
     of_gen desc
       (Universal.implementation ~n ~target:(Classic.Queue_obj.spec ()) ())
       n queue.gen_op
   | [ "pac-facet"; n; m ] ->
-    let n = int_of_string n and m = int_of_string m in
+    let n = int n and m = int m in
     let pac = spec_target (Fmt.str "pac:%d" n) in
     of_gen desc (Facets.pac_from_pac_nm ~n ~m) pac.procs pac.gen_op
   | [ "cons-facet"; n; m ] ->
-    let n = int_of_string n and m = int_of_string m in
+    let n = int n and m = int m in
     of_gen desc
       (Facets.consensus_from_pac_nm ~n ~m)
       (m + 1)
       (fun ~pid:_ prng -> Consensus_obj.propose (small_int prng))
   | [ "mutant-pac"; n ] ->
-    let n = int_of_string n in
+    let n = int n in
     let pac = spec_target (Fmt.str "pac:%d" n) in
     of_gen desc (Mutant.impl ~n) pac.procs pac.gen_op
   | "identity" :: rest ->

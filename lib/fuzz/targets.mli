@@ -18,7 +18,7 @@ val spec_target : string -> spec_target
     network object ({!Lbsa_runtime.Substrate.network_spec}) for [n]
     receivers over a [t]-symbol alphabet, fuzzing sends, guarded
     deliveries, timeouts and delays.  Raises [Invalid_argument] on
-    unknown syntax. *)
+    unknown syntax, non-integer sizes included. *)
 
 val all_specs : unit -> spec_target list
 (** One concrete instantiation per {!Lbsa_objects.Registry.known} row; a
@@ -40,7 +40,13 @@ val impl_target : string -> impl_target
 (** Grammar: [snapshot:<n>], [naive-snapshot:<n>], [pacnm:<n>:<m>],
     [oprime:<n>:<K>], [universal:<n>], [pac-facet:<n>:<m>],
     [cons-facet:<n>:<m>], [mutant-pac:<n>], [identity:<object>].
-    Raises [Invalid_argument] on unknown syntax. *)
+    Raises [Invalid_argument] on unknown syntax, non-integer sizes
+    included, and on sizes the construction refuses. *)
+
+val fixed : impl:Implementation.t -> Op.t list array -> impl_target
+(** A target whose generator always returns the given workloads: fixed
+    client programs under the fuzzer's random schedules and object
+    adversaries.  Its [idesc] is [impl.name]. *)
 
 val all_impls : unit -> impl_target list
 (** Every honest construction in lib/implement; the known-bad fixtures

@@ -20,9 +20,13 @@ let branch_choice = function
   | First -> fun _count -> 0
   | Random prng -> fun count -> Lbsa_util.Prng.int prng count
 
+(* A client's target call in flight: the op, its invocation time and
+   the program's local state. *)
+type call = Op.t * int * Value.t
+
 type client = {
   mutable todo : Op.t list;  (* target ops yet to start *)
-  mutable current : (Op.t * int * Value.t) option;  (* op, inv time, local *)
+  mutable current : call option;
   mutable done_calls : Chistory.call list;
 }
 
@@ -37,6 +41,42 @@ type run = {
 
 exception Stuck of string
 
+(* What one client step does; the caller applies it. *)
+type move =
+  | Base of {
+      obj : int;
+      branches : Obj_spec.branch list;
+      resume : Obj_spec.branch -> call;  (* the call after that branch *)
+    }  (* one base-object step, with every branch the object allows *)
+  | Answer of Chistory.call  (* the program decided; the call completes *)
+
+(* One atomic step of client [pid], the step semantics [run_clients] and
+   [exhaustive] share: start the client's next op if it has no call in
+   flight (its invocation takes the next clock tick), then run one
+   program transition (a base-object step, or the final Decide, whose
+   response takes the next tick).  [clock] is the last tick used;
+   returns the client's remaining ops, the new clock and the move. *)
+let step ~(impl : Implementation.t) ~objects ~pid ~clock ~todo current =
+  let (op, inv, local), todo, clock =
+    match current with
+    | Some call -> (call, todo, clock)
+    | None -> (
+      match todo with
+      | [] -> raise (Stuck (Fmt.str "client %d scheduled while idle" pid))
+      | op :: rest ->
+        ((op, clock + 1, (impl.program ~pid op).start), rest, clock + 1))
+  in
+  match (impl.program ~pid op).delta ~pid local with
+  | Machine.Invoke { obj; op = base_op; resume } ->
+    let branches = Obj_spec.branches impl.base.(obj) objects.(obj) base_op in
+    let resume (b : Obj_spec.branch) = (op, inv, resume b.response) in
+    (todo, clock, Base { obj; branches; resume })
+  | Machine.Decide response ->
+    let res = clock + 1 in
+    (todo, res, Answer (Chistory.call ~pid ~op ~response ~inv ~res))
+  | Machine.Abort ->
+    raise (Stuck (Fmt.str "implementation program aborted (client %d)" pid))
+
 let run_clients ?(nondet = First) ?(max_steps = 100_000)
     ~(impl : Implementation.t) ~(workloads : Op.t list array)
     ~(scheduler : Scheduler.t) () : run =
@@ -46,40 +86,23 @@ let run_clients ?(nondet = First) ?(max_steps = 100_000)
   in
   let objects = Array.map (fun (s : Obj_spec.t) -> s.initial) impl.base in
   let clock = ref 0 in
-  let tick () =
-    incr clock;
-    !clock
-  in
   let choose = branch_choice nondet in
   let busy pid = clients.(pid).current <> None || clients.(pid).todo <> [] in
-  (* One atomic step of client [pid]: start the next op if idle, then
-     perform exactly one base step (or the final Decide). *)
-  let step pid =
+  let advance pid =
     let c = clients.(pid) in
-    let op, inv, local =
-      match c.current with
-      | Some cur -> cur
-      | None -> (
-        match c.todo with
-        | [] -> raise (Stuck (Fmt.str "client %d scheduled while idle" pid))
-        | op :: rest ->
-          c.todo <- rest;
-          let program = impl.program ~pid op in
-          (op, tick (), program.start))
+    let todo, clock', move =
+      step ~impl ~objects ~pid ~clock:!clock ~todo:c.todo c.current
     in
-    let program = impl.program ~pid op in
-    match program.delta ~pid local with
-    | Machine.Invoke { obj; op = base_op; resume } ->
-      let branches = Obj_spec.branches impl.base.(obj) objects.(obj) base_op in
+    c.todo <- todo;
+    clock := clock';
+    match move with
+    | Base { obj; branches; resume } ->
       let b = List.nth branches (choose (List.length branches)) in
       objects.(obj) <- b.next;
-      c.current <- Some (op, inv, resume b.response)
-    | Machine.Decide response ->
+      c.current <- Some (resume b)
+    | Answer call ->
       c.current <- None;
-      c.done_calls <-
-        Chistory.call ~pid ~op ~response ~inv ~res:(tick ()) :: c.done_calls
-    | Machine.Abort ->
-      raise (Stuck (Fmt.str "implementation program aborted (client %d)" pid))
+      c.done_calls <- call :: c.done_calls
   in
   let steps = ref 0 in
   let rec loop i =
@@ -92,7 +115,7 @@ let run_clients ?(nondet = First) ?(max_steps = 100_000)
       match scheduler.Scheduler.next ~step:i ~runnable with
       | None -> ()
       | Some pid ->
-        step pid;
+        advance pid;
         incr steps;
         loop (i + 1))
   in
@@ -126,46 +149,6 @@ let check ?session ?(nondet = First) ?(max_steps = 100_000)
     match session with Some s -> s | None -> Checker.session impl.target
   in
   (run, Checker.check_with ~pending:run.pending session run.history)
-
-(* Randomized campaign: [trials] random schedules (and random object
-   adversaries) over the given workloads; returns the trial count on
-   success or the first non-linearizable run.  One checker session
-   serves every trial — the campaign is single-threaded and the target
-   spec never changes.  The supervised variant polls [budget] before
-   every trial (the harness's per-run safe point) and reports how far it
-   got when cut short. *)
-type campaign_outcome =
-  | All_pass of int
-  | Failed of int * run
-  | Stopped of { completed : int; outcome : Supervisor.outcome }
-
-let campaign_supervised ?(budget = Supervisor.Budget.unlimited) ~seed ~trials
-    ~(impl : Implementation.t) ~workloads () =
-  let prng = Lbsa_util.Prng.create seed in
-  let session = Checker.session impl.target in
-  let rec go i =
-    if i >= trials then All_pass trials
-    else
-      match Supervisor.Budget.stop budget with
-      | Some outcome -> Stopped { completed = i; outcome }
-      | None -> (
-        let sched_seed = Lbsa_util.Prng.int prng 1_000_000_000 in
-        let nondet = Random (Lbsa_util.Prng.split prng) in
-        let scheduler = Scheduler.random ~seed:sched_seed in
-        let run, outcome =
-          check ~session ~nondet ~impl ~workloads ~scheduler ()
-        in
-        match outcome with
-        | Checker.Linearizable _ -> go (i + 1)
-        | Checker.Not_linearizable -> Failed (i, run))
-  in
-  go 0
-
-let campaign ~seed ~trials ~impl ~workloads () =
-  match campaign_supervised ~seed ~trials ~impl ~workloads () with
-  | All_pass n -> Ok n
-  | Failed (i, run) -> Error (i, run)
-  | Stopped _ -> assert false (* unlimited budget never stops *)
 
 (* Exhaustive campaign over *all* interleavings of the client programs
    (and all object nondeterminism), for tiny workloads: enumerate every
@@ -201,42 +184,36 @@ let exhaustive ?(max_steps = 40) ~(impl : Implementation.t) ~workloads () =
         List.iter
           (fun pid ->
             if !failure = None then begin
-              let op, inv, local, todo', started =
-                match current.(pid) with
-                | Some (op, inv, local) -> (op, inv, local, todo, false)
-                | None -> (
-                  match todo.(pid) with
-                  | [] -> assert false
-                  | op :: rest ->
-                    let program = impl.program ~pid op in
-                    let todo' = Array.copy todo in
-                    todo'.(pid) <- rest;
-                    (op, clock, program.start, todo', true))
+              let todo_pid, clock, move =
+                step ~impl ~objects ~pid ~clock ~todo:todo.(pid) current.(pid)
               in
-              ignore started;
-              let program = impl.program ~pid op in
-              match program.delta ~pid local with
-              | Machine.Invoke { obj; op = base_op; resume } ->
+              let todo =
+                match current.(pid) with
+                | Some _ -> todo
+                | None ->
+                  let todo = Array.copy todo in
+                  todo.(pid) <- todo_pid;
+                  todo
+              in
+              let current' call =
+                let current = Array.copy current in
+                current.(pid) <- call;
+                current
+              in
+              match move with
+              | Base { obj; branches; resume } ->
                 List.iter
                   (fun (b : Obj_spec.branch) ->
                     if !failure = None then begin
                       let objects' = Array.copy objects in
                       objects'.(obj) <- b.next;
-                      let current' = Array.copy current in
-                      current'.(pid) <- Some (op, inv, resume b.response);
-                      go todo' current' objects' (clock + 1) history (depth + 1)
+                      go todo (current' (Some (resume b))) objects' clock
+                        history (depth + 1)
                     end)
-                  (Obj_spec.branches impl.base.(obj) objects.(obj) base_op)
-              | Machine.Decide response ->
-                let current' = Array.copy current in
-                current'.(pid) <- None;
-                let call =
-                  Chistory.call ~pid ~op ~response ~inv ~res:(clock + 1)
-                in
-                go todo' current' objects (clock + 2) (call :: history)
+                  branches
+              | Answer call ->
+                go todo (current' None) objects clock (call :: history)
                   (depth + 1)
-              | Machine.Abort ->
-                failwith "Harness.exhaustive: implementation program aborted"
             end)
           runnable
     end
@@ -244,7 +221,7 @@ let exhaustive ?(max_steps = 40) ~(impl : Implementation.t) ~workloads () =
   let todo = Array.map (fun ops -> ops) workloads in
   let current = Array.make n None in
   let objects = Array.map (fun (s : Obj_spec.t) -> s.initial) impl.base in
-  go todo current objects 1 [] 0;
+  go todo current objects 0 [] 0;
   match !failure with
   | None -> Ok !checked
   | Some h -> Error h

@@ -42,34 +42,8 @@ val check :
   run * Checker.outcome
 (** [session] must be a [Checker.session] for [impl.target]; passing one
     reuses its interning tables across calls (the outcome does not depend
-    on it).  Campaign-style callers should create one per domain. *)
-
-val campaign :
-  seed:int ->
-  trials:int ->
-  impl:Implementation.t ->
-  workloads:Op.t list array ->
-  unit ->
-  (int, int * run) result
-(** [trials] random schedules and object adversaries; [Error (i, run)]
-    is the first non-linearizable run. *)
-
-type campaign_outcome =
-  | All_pass of int
-  | Failed of int * run  (** first non-linearizable run *)
-  | Stopped of { completed : int; outcome : Supervisor.outcome }
-      (** budget fired after [completed] trials *)
-
-val campaign_supervised :
-  ?budget:Supervisor.Budget.t ->
-  seed:int ->
-  trials:int ->
-  impl:Implementation.t ->
-  workloads:Op.t list array ->
-  unit ->
-  campaign_outcome
-(** {!campaign} with a {!Supervisor.Budget.t} polled before every trial
-    — deadline and cancellation-aware; identical trial sequence. *)
+    on it).  Callers checking on several domains should create one per
+    domain. *)
 
 val exhaustive :
   ?max_steps:int ->

@@ -17,26 +17,29 @@ open Lbsa_spec
 let parse_error s = invalid_arg (Fmt.str "Registry.of_string: cannot parse %S" s)
 
 let of_string s : Obj_spec.t =
+  let int v =
+    match int_of_string_opt v with Some i -> i | None -> parse_error s
+  in
   match String.split_on_char ':' s with
   | [ "reg" ] -> Register.spec ()
-  | [ "reg"; v ] -> Register.spec ~init:(Value.int (int_of_string v)) ()
-  | [ "cons"; m ] -> Consensus_obj.spec ~m:(int_of_string m) ()
+  | [ "reg"; v ] -> Register.spec ~init:(Value.int (int v)) ()
+  | [ "cons"; m ] -> Consensus_obj.spec ~m:(int m) ()
   | [ "2sa" ] -> Sa2.spec ()
   | [ "nksa"; n; k ] ->
-    Nk_sa.spec ~n:(int_of_string n) ~k:(int_of_string k) ()
-  | [ "pac"; n ] -> Pac.spec ~n:(int_of_string n) ()
+    Nk_sa.spec ~n:(int n) ~k:(int k) ()
+  | [ "pac"; n ] -> Pac.spec ~n:(int n) ()
   | [ "pacnm"; n; m ] ->
-    Pac_nm.spec ~n:(int_of_string n) ~m:(int_of_string m) ()
-  | [ "on"; n ] -> O_n.spec ~n:(int_of_string n) ()
+    Pac_nm.spec ~n:(int n) ~m:(int m) ()
+  | [ "on"; n ] -> O_n.spec ~n:(int n) ()
   | [ "oprime"; n; max_k ] ->
-    O_prime.spec_for ~n:(int_of_string n) ~max_k:(int_of_string max_k) ()
+    O_prime.spec_for ~n:(int n) ~max_k:(int max_k) ()
   | [ "tas" ] -> Classic.Test_and_set.spec ()
   | [ "faa" ] -> Classic.Fetch_and_add.spec ()
   | [ "swap" ] -> Classic.Swap.spec ()
   | [ "queue" ] -> Classic.Queue_obj.spec ()
   | [ "cas" ] -> Classic.Compare_and_swap.spec ()
   | [ "sticky" ] -> Classic.Sticky.spec ()
-  | [ "snapshot"; m ] -> Classic.Snapshot.spec ~m:(int_of_string m) ()
+  | [ "snapshot"; m ] -> Classic.Snapshot.spec ~m:(int m) ()
   | _ -> parse_error s
 
 let known =

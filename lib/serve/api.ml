@@ -326,7 +326,7 @@ let reduction_for inst (mode : reduce_mode) : Graph.reduction =
    network-fairness constraints (and build their network object from
    the substrate's byz budget), shared-memory tasks mean nothing under
    them. *)
-let resolve ?substrate task =
+let resolve_substrate ?substrate task =
   let substrate_name =
     Option.value substrate ~default:(default_substrate task)
   in
@@ -346,6 +346,10 @@ let resolve ?substrate task =
     invalid_arg
       (Fmt.str "task %s is shared-memory; use --substrate shm"
          (task_label task));
+  (substrate, byz)
+
+let resolve ?substrate task =
+  let substrate, byz = resolve_substrate ?substrate task in
   (substrate, instance ~byz task)
 
 let solvability inst ?max_states ?domains ?budget ?substrate ?reduce ?resume
@@ -483,14 +487,26 @@ let answer ?domains ~budget ~substrate ~reduce ~max_states ~inputs
              lv_witness = Some (Fmt.str "%a" Liveness.pp_witness w);
            }))
 
+(* Every refusal [compute] makes, checked without building the protocol
+   ([default_inputs] has the instance's arity). *)
+let validate = function
+  | Verify v ->
+    ignore (resolve_substrate ~substrate:v.substrate v.task);
+    let procs = List.length (default_inputs v.task) in
+    if List.length v.inputs <> procs then
+      invalid_arg
+        (Fmt.str "task %s expects %d inputs, got %d" (task_label v.task) procs
+           (List.length v.inputs))
+  | Fuzz f ->
+    ignore (Lbsa_fuzz.Targets.spec_target f.target);
+    if f.trials < 1 then
+      invalid_arg (Fmt.str "fuzz trials must be >= 1, got %d" f.trials)
+
 let compute ?(budget = Supervisor.Budget.unlimited) ?(start = 0) q : computed =
+  validate q;
   match q with
   | Verify v ->
     let substrate, inst = resolve ~substrate:v.substrate v.task in
-    if List.length v.inputs <> inst.procs then
-      invalid_arg
-        (Fmt.str "task %s expects %d inputs, got %d" (task_label v.task)
-           inst.procs (List.length v.inputs));
     let reduce = reduction_for inst v.reduce in
     fst
       (answer ~domains:1 ~budget ~substrate ~reduce ~max_states:v.max_states

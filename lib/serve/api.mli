@@ -206,8 +206,15 @@ val compute : ?budget:Supervisor.Budget.t -> ?start:int -> query -> computed
     cancellation token ({!Supervisor.Budget}); [start] (fuzz only)
     resumes from a completed-trial prefix.  The explorer and fuzz
     fan-out are pinned to one domain — the service's worker pool is the
-    parallelism layer.  Raises [Invalid_argument] on an unknown task,
-    candidate or fuzz target, or an input vector of the wrong arity. *)
+    parallelism layer.  Raises [Invalid_argument] exactly when
+    {!validate} does. *)
+
+val validate : query -> unit
+(** The checks {!compute} makes before it runs anything, without
+    building the protocol.  Raises [Invalid_argument] on an unknown
+    candidate, a substrate of the wrong family, an input vector of the
+    wrong arity, an unparsable fuzz target or fewer than one fuzz
+    trial. *)
 
 type checked = {
   answer : result;

@@ -315,10 +315,15 @@ let handle_query st fd q deadline_s =
       let key = Api.key q in
       match lookup st ~canonical ~key with
       | `Hit r -> reply_result st fd ~cached:true ~t0 r
-      | `Resume n ->
-        schedule st ~canonical ~key ~q ~deadline_s ~start:n ~waiter:(fd, t0)
-      | `Miss ->
-        schedule st ~canonical ~key ~q ~deadline_s ~start:0 ~waiter:(fd, t0)
+      | (`Resume _ | `Miss) as found -> (
+        (* A query [compute] would refuse is answered now: queued, it
+           would fail the same way on every attempt. *)
+        match Api.validate q with
+        | exception Invalid_argument msg ->
+          ignore (safe_send_response fd (Wire.Error msg))
+        | () ->
+          let start = match found with `Resume n -> n | `Miss -> 0 in
+          schedule st ~canonical ~key ~q ~deadline_s ~start ~waiter:(fd, t0))
     end
 
 let handle_completion st { c_job = job; c_result } =

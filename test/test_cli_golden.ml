@@ -18,9 +18,10 @@ let exe =
 
 let golden_dir = Filename.concat "golden" "cli"
 
-(* Rows whose output differs from the build before the task registry
-   moved into [Api], each with the reason.  Every other row printed the
-   same bytes and exit code before and after. *)
+(* Rows whose output differs from an earlier build, each with the
+   reason: the build before the task registry moved into [Api], or the
+   one before lin-check and universal became fuzz campaigns.  Every
+   other row printed the same bytes and exit code before and after. *)
 let bugfix_rows =
   [
     ( "check candidate --name flp-write-read --max-states 1",
@@ -41,6 +42,24 @@ let bugfix_rows =
     ( "check dac -n 3 --deadline 0 --domains 2",
       "a stopped sweep names the first unchecked vector (was the last \
        vector, inputs=1,1,1, on 2 domains)" );
+    ( "fuzz --impl pacnm:2:x",
+      "a non-integer size is a usage error, exit 3 (was an uncaught \
+       Failure, exit 125)" );
+    ( "fuzz --spec pac:x",
+      "a non-integer size is a usage error, exit 3 (was an uncaught \
+       Failure, exit 125)" );
+    ( "fuzz --impl snapshot:2 --trials 0",
+      "fewer than one trial is a usage error, exit 3 (was an uncaught \
+       Invalid_argument, exit 125)" );
+    ( "lin-check --trials 0",
+      "fewer than one trial is a usage error, exit 3 (was \"all 0 trials \
+       linearizable\", exit 0)" );
+    ( "lin-check -n 0",
+      "an unbuildable target is a usage error, exit 3 (was an uncaught \
+       Invalid_argument, exit 125)" );
+    ( "universal -n 0",
+      "an unbuildable target is a usage error, exit 3 (was an uncaught \
+       Invalid_argument, exit 125)" );
   ]
 
 let reduce_modes = [ "none"; "sym"; "sym+sleep" ]
@@ -82,6 +101,13 @@ let rows =
       "fingerprint -n 3 --question live";
       "fingerprint -n 3 --reduce sym --question live";
     ]
+  (* lin-check and universal are fuzz campaigns; the naive snapshot is
+     the known-bad fixture, caught and shrunk. *)
+  @ [
+      "lin-check --impl snapshot -n 2 --trials 50";
+      "lin-check --impl naive-snapshot -n 3 --trials 200 --seed 42";
+      "universal -n 2 --trials 30";
+    ]
   @ List.map fst bugfix_rows
 
 (* Explore's telemetry lines that vary between runs or machines: wall
@@ -89,10 +115,28 @@ let rows =
    count. *)
 let masked = [ "wall_s="; "states_per_sec="; "peak_rss_kb="; "domains=" ]
 
+(* A fuzz report line ("PASS impl snapshot:2  50 trials  2 domains
+   0.00s") ends in the auto-chosen domain count and the wall time. *)
+let mask_report line =
+  let words = String.split_on_char ' ' line in
+  let n = List.length words in
+  List.mapi
+    (fun i w ->
+      if i = n - 1 || List.nth_opt words (i + 1) = Some "domains" then
+        "<masked>"
+      else w)
+    words
+  |> String.concat " "
+
 let mask line =
   match List.find_opt (fun p -> String.starts_with ~prefix:p line) masked with
   | Some p -> p ^ "<masked>"
-  | None -> line
+  | None ->
+    if
+      String.starts_with ~prefix:"PASS " line
+      || String.starts_with ~prefix:"STOP " line
+    then mask_report line
+    else line
 
 let file_name args =
   String.map
@@ -131,6 +175,26 @@ let test_row args () =
     let want = read_file (Filename.concat golden_dir (file_name args)) in
     Alcotest.(check string) args want got
 
+(* lin-check and universal are views over fuzz: each prints exactly
+   what the fuzz campaign of its target prints, exit code included. *)
+let views =
+  [
+    ( "lin-check --impl snapshot -n 2 --trials 50",
+      "fuzz --impl snapshot:2 --trials 50" );
+    ( "lin-check --impl naive-snapshot -n 3 --trials 200 --seed 42",
+      "fuzz --impl naive-snapshot:3 --trials 200 --seed 42" );
+    ( "lin-check --impl pacnm -n 3 -m 2 --trials 100 --seed 7",
+      "fuzz --impl pacnm:3:2 --trials 100 --seed 7" );
+    ( "lin-check --impl oprime -n 2 --max-k 3 --trials 100 --seed 7",
+      "fuzz --impl oprime:2:3 --trials 100 --seed 7" );
+    ("universal -n 2 --trials 30", "fuzz --impl universal:2 --trials 30");
+  ]
+
+let test_view (view, fuzz) () =
+  if not (Sys.file_exists exe) then
+    Alcotest.failf "CLI executable not found at %s" exe;
+  Alcotest.(check string) view (run fuzz) (run view)
+
 let () =
   Alcotest.run "cli_golden"
     [
@@ -138,4 +202,9 @@ let () =
         List.map
           (fun args -> Alcotest.test_case args `Quick (test_row args))
           rows );
+      ( "views",
+        List.map
+          (fun ((view, _) as pair) ->
+            Alcotest.test_case view `Quick (test_view pair))
+          views );
     ]

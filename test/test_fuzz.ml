@@ -21,6 +21,33 @@ let test_spec_targets_cover_registry () =
       then Alcotest.failf "registry object %S has no fuzz target" syntax)
     Registry.known
 
+(* Every malformed description is refused with [Invalid_argument], as
+   the interface promises: a non-integer size must not escape as
+   [Failure "int_of_string"]. *)
+let test_malformed_descriptions_refused () =
+  let refused what parse desc =
+    match parse desc with
+    | _ -> Alcotest.failf "%s %S accepted" what desc
+    | exception Invalid_argument _ -> ()
+    | exception e ->
+      Alcotest.failf "%s %S raised %s" what desc (Printexc.to_string e)
+  in
+  List.iter
+    (refused "impl" Fuzz_targets.impl_target)
+    [
+      "snapshot:x"; "naive-snapshot:"; "pacnm:2:x"; "pacnm:x:2"; "oprime:2:x";
+      "universal:x"; "pac-facet:2:x"; "cons-facet:x:2"; "mutant-pac:x";
+      "identity:pac:x"; "identity:"; "snapshot:0"; "universal:0"; "snapshot";
+      "bogus:1";
+    ];
+  List.iter
+    (refused "spec" Fuzz_targets.spec_target)
+    [
+      "pac:x"; "reg:x"; "cons:x"; "nksa:3:x"; "pacnm:x:2"; "on:x";
+      "oprime:2:x"; "snapshot:x"; "mpnet:2:x"; "mpnet:x:2"; "mpnet:0:2";
+      "bogus";
+    ]
+
 let test_fan_deterministic_across_domains () =
   (* The first failing trial index — and the completed prefix, which
      ends at it — is a pure function of the predicate, never of the
@@ -174,6 +201,8 @@ let () =
             test_spec_targets_cover_registry;
           Alcotest.test_case "identity impls clean" `Quick
             test_identity_targets_clean;
+          Alcotest.test_case "malformed descriptions refused" `Quick
+            test_malformed_descriptions_refused;
         ] );
       ( "engine",
         [

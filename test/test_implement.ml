@@ -4,6 +4,17 @@
 
 open Lbsa
 
+(* A fuzz campaign over fixed client programs: [trials] random schedules
+   and object adversaries, every run checked for linearizability. *)
+let campaign ~seed ~trials ~impl workloads =
+  let r =
+    Fuzz_engine.fuzz_impl ~trials ~seed (Fuzz_targets.fixed ~impl workloads)
+  in
+  match r.Fuzz_engine.failure with
+  | None ->
+    Alcotest.(check int) "all trials pass" trials r.Fuzz_engine.completed
+  | Some f -> Alcotest.failf "%a" Fuzz_engine.pp_failure f
+
 let test_identity_impl () =
   let impl = Implementation.identity (Register.spec ()) in
   let workloads =
@@ -22,9 +33,7 @@ let test_identity_campaign () =
       [ Classic.Queue_obj.enqueue (Value.int 2); Classic.Queue_obj.dequeue ];
     |]
   in
-  match Harness.campaign ~seed:1 ~trials:50 ~impl ~workloads () with
-  | Ok n -> Alcotest.(check int) "all trials pass" 50 n
-  | Error (i, _) -> Alcotest.failf "trial %d not linearizable" i
+  campaign ~seed:1 ~trials:50 ~impl workloads
 
 (* Observation 5.1(a): (n,m)-PAC from n-PAC + m-consensus. *)
 let test_pac_nm_impl_exhaustive () =
@@ -52,9 +61,7 @@ let test_pac_nm_impl_campaign () =
         Pac_nm.decide_p 3 ];
     |]
   in
-  match Harness.campaign ~seed:11 ~trials:100 ~impl ~workloads () with
-  | Ok n -> Alcotest.(check int) "all trials pass" 100 n
-  | Error (i, _) -> Alcotest.failf "trial %d not linearizable" i
+  campaign ~seed:11 ~trials:100 ~impl workloads
 
 (* Observations 5.1(b,c): the facets. *)
 let test_facets () =
@@ -109,9 +116,7 @@ let test_oprime_impl_campaign () =
         O_prime.propose (Value.int 33) 4 ];
     |]
   in
-  match Harness.campaign ~seed:21 ~trials:100 ~impl ~workloads () with
-  | Ok n -> Alcotest.(check int) "all trials pass" 100 n
-  | Error (i, _) -> Alcotest.failf "trial %d not linearizable" i
+  campaign ~seed:21 ~trials:100 ~impl workloads
 
 (* The snapshot substrate. *)
 let test_snapshot_impl_small () =
@@ -137,12 +142,7 @@ let test_snapshot_impl_campaign () =
       [ Classic.Snapshot.scan; Classic.Snapshot.update 2 (Value.int 4) ];
     |]
   in
-  match Harness.campaign ~seed:31 ~trials:60 ~impl ~workloads () with
-  | Ok n -> Alcotest.(check int) "all trials pass" 60 n
-  | Error (i, run) ->
-    Alcotest.failf "trial %d not linearizable:@.%a" i
-      (fun ppf -> Chistory.pp ppf)
-      run.Harness.history
+  campaign ~seed:31 ~trials:60 ~impl workloads
 
 let test_naive_snapshot_broken () =
   (* The single-collect scan must be caught by the checker in some
@@ -185,12 +185,7 @@ let test_universal_queue_campaign () =
       [ Classic.Queue_obj.enqueue (Value.int 3); Classic.Queue_obj.dequeue ];
     |]
   in
-  match Harness.campaign ~seed:3 ~trials:200 ~impl ~workloads () with
-  | Ok t -> Alcotest.(check int) "all trials pass" 200 t
-  | Error (i, run) ->
-    Alcotest.failf "universal queue trial %d not linearizable:@.%a" i
-      (fun ppf -> Chistory.pp ppf)
-      run.Harness.history
+  campaign ~seed:3 ~trials:200 ~impl workloads
 
 let test_universal_pac_campaign () =
   (* The construction is generic: it can even host an n-PAC object. *)
@@ -200,9 +195,7 @@ let test_universal_pac_campaign () =
     Array.init 3 (fun pid ->
         [ Pac.propose (Value.int pid) (pid + 1); Pac.decide (pid + 1) ])
   in
-  match Harness.campaign ~seed:13 ~trials:200 ~impl ~workloads () with
-  | Ok t -> Alcotest.(check int) "all trials pass" 200 t
-  | Error (i, _) -> Alcotest.failf "universal PAC trial %d failed" i
+  campaign ~seed:13 ~trials:200 ~impl workloads
 
 let test_universal_multiop_clients () =
   (* Several operations per client: the progress register must carry the
@@ -213,12 +206,7 @@ let test_universal_multiop_clients () =
     Array.init 2 (fun _ ->
         List.init 3 (fun _ -> Classic.Fetch_and_add.fetch_and_add 1))
   in
-  match Harness.campaign ~seed:29 ~trials:200 ~impl ~workloads () with
-  | Ok t -> Alcotest.(check int) "all trials pass" 200 t
-  | Error (i, run) ->
-    Alcotest.failf "universal multi-op trial %d failed:@.%a" i
-      (fun ppf -> Chistory.pp ppf)
-      run.Harness.history
+  campaign ~seed:29 ~trials:200 ~impl workloads
 
 let test_universal_port_budget () =
   (* The Theorem 7.1 boundary: drive a universal construction whose

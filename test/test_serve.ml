@@ -744,6 +744,43 @@ let test_ping_stats_and_bad_query () =
       in
       ())
 
+(* A query [compute] would refuse is answered with its plain error on
+   the spot: never queued, never retried. *)
+let test_refused_queries_never_queue () =
+  let fuzz ~target ~trials =
+    Serve_api.Fuzz { target; trials; procs = 3; ops = 3; seed = 42 }
+  in
+  let dir = fresh_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let (), stats =
+        with_daemon ~dir (fun ~socket ->
+            let c = connect ~socket in
+            Fun.protect
+              ~finally:(fun () -> Serve_client.close c)
+              (fun () ->
+                List.iter
+                  (fun (q, sub) ->
+                    match Serve_client.query c q with
+                    | Ok _ ->
+                      Alcotest.failf "accepted %s" (Serve_api.canonical q)
+                    | Error msg ->
+                      Alcotest.(check bool)
+                        ("plain message for " ^ Serve_api.canonical q)
+                        true
+                        (contains_sub ~sub msg
+                        && not (contains_sub ~sub:"attempt" msg)))
+                  [
+                    ( verify ~inputs:[ 1; 0 ] (Serve_api.Dac { n = 3 }),
+                      "expects 3 inputs" );
+                    (fuzz ~target:"pac:x" ~trials:10, "pac:x");
+                    (fuzz ~target:"pac:2" ~trials:0, "trials must be >= 1");
+                  ]))
+      in
+      Alcotest.(check int) "nothing computed" 0 stats.Serve_wire.st_computed;
+      Alcotest.(check int) "nothing queued" 0 stats.Serve_wire.st_queue_peak)
+
 (* second daemon on the same socket must refuse to start *)
 let test_socket_exclusion () =
   let dir = fresh_dir () in
@@ -983,6 +1020,8 @@ let () =
         [
           Alcotest.test_case "ping, stats, malformed queries" `Quick
             test_ping_stats_and_bad_query;
+          Alcotest.test_case "refused queries never queue" `Quick
+            test_refused_queries_never_queue;
           Alcotest.test_case "socket exclusion" `Quick test_socket_exclusion;
         ] );
       ( "cli",

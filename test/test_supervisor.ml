@@ -521,28 +521,6 @@ let test_shrink_budget_zero_reports_no_shrink () =
          Alcotest.(check bool) "a reported shrink is no larger" true
            (Fuzz_case.n_calls c <= Fuzz_case.n_calls f'.Fuzz_engine.case)))
 
-let test_campaign_supervised_stops () =
-  let impl = Snapshot_impl.implementation ~n:3 in
-  let workloads =
-    Array.init 3 (fun pid ->
-        [ Classic.Snapshot.update pid (Value.int (pid + 1));
-          Classic.Snapshot.scan ])
-  in
-  (match
-     Harness.campaign_supervised ~budget:(expired ()) ~seed:1 ~trials:10
-       ~impl ~workloads ()
-   with
-  | Harness.Stopped { completed = 0; outcome = Supervisor.Deadline } -> ()
-  | Harness.Stopped { completed; outcome } ->
-    Alcotest.failf "stopped after %d trials with %a" completed
-      Supervisor.pp_outcome outcome
-  | Harness.All_pass _ | Harness.Failed _ -> Alcotest.fail "expected Stopped");
-  match
-    Harness.campaign_supervised ~seed:1 ~trials:10 ~impl ~workloads ()
-  with
-  | Harness.All_pass 10 -> ()
-  | _ -> Alcotest.fail "unlimited budget should pass all trials"
-
 (* --- the CLI acceptance property --------------------------------------- *)
 
 let test_cli_interrupt_resume_byte_identical () =
@@ -837,8 +815,6 @@ let () =
             test_fuzz_checkpoint_flipped_byte;
           Alcotest.test_case "shrink budget 0 reports no shrink" `Quick
             test_shrink_budget_zero_reports_no_shrink;
-          Alcotest.test_case "campaign_supervised stops cleanly" `Quick
-            test_campaign_supervised_stops;
         ] );
       ( "cli",
         [
