@@ -827,8 +827,12 @@ let fuzz impl_names spec_names trials procs ops faults seed no_shrink domains
   in
   let impls = parse_targets ~what:"impl" ~parse:Fuzz_targets.impl_target impl_names in
   let specs = parse_targets ~what:"spec" ~parse:Fuzz_targets.spec_target spec_names in
-  if trials < 1 then begin
-    Fmt.epr "--trials must be >= 1, got %d@." trials;
+  (* No clients or no operations would make every trial vacuously
+     clean. *)
+  if trials < 1 || procs < 1 || ops < 1 then begin
+    List.iter
+      (fun (flag, v) -> if v < 1 then Fmt.epr "%s must be >= 1, got %d@." flag v)
+      [ ("--trials", trials); ("--procs", procs); ("--ops", ops) ];
     3
   end
   else if
@@ -994,13 +998,23 @@ let fuzz_one desc ~trials ~seed ~deadline =
   fuzz [ desc ] [] trials procs ops faults seed no_shrink domains deadline chaos
     Fuzz_engine.default_shrink_budget ckpt_file resume_file
 
+(* A view refuses its own size flags by name before building the
+   target: fuzz could only name the description built from them. *)
+let fuzz_view ~cmd desc sizes ~trials ~seed ~deadline =
+  match List.find_opt (fun (_, v) -> v < 1) sizes with
+  | Some (flag, v) ->
+    Fmt.epr "%s: %s must be >= 1, got %d@." cmd flag v;
+    3
+  | None -> fuzz_one desc ~trials ~seed ~deadline
+
 let lin_check name n m max_k trials seed deadline =
+  let view = fuzz_view ~cmd:"lin-check" ~trials ~seed ~deadline in
   match name with
   | "snapshot" | "naive-snapshot" ->
-    fuzz_one (Fmt.str "%s:%d" name n) ~trials ~seed ~deadline
-  | "pacnm" -> fuzz_one (Fmt.str "pacnm:%d:%d" n m) ~trials ~seed ~deadline
+    view (Fmt.str "%s:%d" name n) [ ("-n", n) ]
+  | "pacnm" -> view (Fmt.str "pacnm:%d:%d" n m) [ ("-n", n); ("-m", m) ]
   | "oprime" ->
-    fuzz_one (Fmt.str "oprime:%d:%d" n max_k) ~trials ~seed ~deadline
+    view (Fmt.str "oprime:%d:%d" n max_k) [ ("-n", n); ("--max-k", max_k) ]
   | _ ->
     Fmt.epr
       "unknown implementation %S; known: snapshot, naive-snapshot, pacnm, \
@@ -1033,7 +1047,8 @@ let lin_check_cmd =
       $ seed_arg $ deadline_arg)
 
 let universal n trials seed =
-  fuzz_one (Fmt.str "universal:%d" n) ~trials ~seed ~deadline:None
+  fuzz_view ~cmd:"universal" (Fmt.str "universal:%d" n) [ ("-n", n) ] ~trials
+    ~seed ~deadline:None
 
 let universal_cmd =
   let trials =

@@ -13,8 +13,11 @@ open Lbsa_runtime
      contains a step of pid (pid can take infinitely many steps without
      halting);
    - solo termination of pid from configuration C fails iff the pid-solo
-     subgraph from C contains a cycle, or a leaf where pid is still
-     running (the solo run gets stuck). *)
+     subgraph from C contains a cycle, or a leaf where pid halted in a
+     status the property does not accept.  On a graph that holds the
+     substrate's steps verbatim this is one least-fixpoint pass per pid
+     over the pid-labelled steps ([solo_good]); reduced graphs re-step
+     the substrate off the graph instead ([solo_halts]). *)
 
 type verdict = {
   ok : bool;
@@ -92,20 +95,49 @@ let any_cycle (graph : Graph.t) =
       sizes.(comp.(u)) > 1
       || Graph.exists_out_step graph u (fun _pid target -> target = u))
 
-(* Solo termination of [pid] from [config]: explore the pid-solo subgraph
-   (all nondeterministic branches), requiring that every run halts pid in
-   a status satisfying [accept].  Memoized across calls via [cache]:
-   true = all solo runs from this config are fine. *)
-type solo_cache = (Config.t, bool) Hashtbl.t
+(* --- solo termination ------------------------------------------------ *)
 
-let solo_cache () : solo_cache = Hashtbl.create 1024
+(* What a halted solo runner must have ended in: termination (a) lets p
+   decide or abort, termination (b) requires q to decide. *)
+type solo_goal = Decide | Halt
+
+(* A process's status, as the on-graph pass stores it: one byte per
+   (node, pid). *)
+let running_class = '\000'
+let decided_class = '\001'
+let aborted_class = '\002'
+let crashed_class = '\003'
+
+let class_of : Config.status -> char = function
+  | Running -> running_class
+  | Decided _ -> decided_class
+  | Aborted -> aborted_class
+  | Crashed -> crashed_class
+
+let class_accepted goal c =
+  c = decided_class || (goal = Halt && c = aborted_class)
+
+let solo_accepts goal status = class_accepted goal (class_of status)
+
+module CH = Hashtbl.Make (Config)
+
+(* Solo termination of [pid] from [config] off the graph: explore the
+   pid-solo subgraph (all nondeterministic branches) by re-stepping the
+   substrate, requiring that every run halts pid in a status satisfying
+   [accept].  Memoized across calls via [cache]: true = all solo runs
+   from this config are fine.  The reduced graphs of [check_dac] use it
+   (their steps are canonized or pruned, so they do not hold the solo
+   runs verbatim), and it is the oracle of the on-graph pass below. *)
+type solo_cache = bool CH.t
+
+let solo_cache () : solo_cache = CH.create 1024
 
 let solo_halts ?(cache = solo_cache ()) ?(substrate = Substrate.shm) ~machine
     ~specs ~pid ~accept config =
   let module CM = Map.Make (Config) in
   (* On-stack set for cycle detection within one DFS. *)
   let rec go on_stack config =
-    match Hashtbl.find_opt cache config with
+    match CH.find_opt cache config with
     | Some r -> r
     | None ->
       if CM.mem config on_stack then false (* solo cycle: pid spins *)
@@ -120,17 +152,102 @@ let solo_halts ?(cache = solo_cache ()) ?(substrate = Substrate.shm) ~machine
               (fun (config', _) -> go (CM.add config () on_stack) config')
               branches
         in
-        (* Only cache completed subtrees (config not on stack anywhere):
-           caching a [false] caused by an on-stack ancestor would be
-           unsound, so cache only when the answer is stack-independent.
-           A [false] from a strict cycle is still correct to cache for
-           the node that closes the cycle's entry point; to stay simple
-           and sound we cache positives always and negatives only at the
-           DFS root. *)
-        if r then Hashtbl.replace cache config r;
+        (* A [true] never depends on the stack (an on-stack hit answers
+           [false], which [for_all] propagates), so positives are cached
+           always; a [false] may be caused by an on-stack ancestor and
+           is not cached. *)
+        if r then CH.replace cache config r;
         r
   in
   go CM.empty config
+
+(* Solo termination on the graph.  The graph has no crash edges and,
+   unreduced, lists every [step_branches] successor of every running
+   pid, so a node's pid-solo successors are exactly its out-steps
+   labelled pid, and the pid-restricted subgraph is closed.  A node is
+   good for (pid, goal) iff pid is halted in a status the goal accepts,
+   or pid is running and every pid-step leads to a good node (vacuously
+   so with no branches): the least fixpoint, which never admits a node
+   on or leading to a pid-only cycle — exactly [solo_halts]'s answer.
+
+   The index is built once per graph: the reverse of the packed steps
+   (CSR over targets), and every node's per-pid status class, read from
+   its configuration once (one segment fault per cold segment on an
+   out-of-core graph).  Each (pid, goal) pass is then a counter
+   propagation in O(V + E). *)
+type solo_index = {
+  graph : Graph.t;
+  procs : int;
+  classes : Bytes.t;  (* [id * procs + pid]: status class *)
+  rev_offsets : int array;  (* length V + 1, slices of [rev_steps] *)
+  rev_steps : int array;  (* packed [(source lsl 8) lor pid], by target *)
+}
+
+let solo_index graph =
+  let v = Graph.n_nodes graph in
+  let procs = Config.n_processes (Graph.node graph graph.Graph.initial) in
+  let classes = Bytes.create (v * procs) in
+  Graph.iter_nodes
+    (fun id config ->
+      Array.iteri
+        (fun pid s -> Bytes.set classes ((id * procs) + pid) (class_of s))
+        config.Config.status)
+    graph;
+  let rev_offsets = Array.make (v + 1) 0 in
+  for u = 0 to v - 1 do
+    Graph.iter_out_steps graph u (fun _pid w ->
+        rev_offsets.(w + 1) <- rev_offsets.(w + 1) + 1)
+  done;
+  for w = 1 to v do
+    rev_offsets.(w) <- rev_offsets.(w) + rev_offsets.(w - 1)
+  done;
+  let rev_steps = Array.make (Graph.n_edges graph) 0 in
+  let fill = Array.sub rev_offsets 0 v in
+  for u = 0 to v - 1 do
+    Graph.iter_out_steps graph u (fun pid w ->
+        rev_steps.(fill.(w)) <- (u lsl 8) lor pid;
+        fill.(w) <- fill.(w) + 1)
+  done;
+  { graph; procs; classes; rev_offsets; rev_steps }
+
+let solo_class idx id pid = Bytes.get idx.classes ((id * idx.procs) + pid)
+
+let solo_good idx ~goal pid =
+  let graph = idx.graph in
+  let v = Graph.n_nodes graph in
+  let good = Bytes.make v '\000' in
+  (* Unresolved pid-steps per running node; a node is pushed (and marked
+     good) exactly once, when its count reaches zero or as a leaf. *)
+  let pending = Array.make v 0 in
+  let stack = Array.make v 0 in
+  let sp = ref 0 in
+  let mark u =
+    Bytes.set good u '\001';
+    stack.(!sp) <- u;
+    incr sp
+  in
+  for u = 0 to v - 1 do
+    let c = solo_class idx u pid in
+    if c = running_class then begin
+      Graph.iter_out_steps graph u (fun pid' _ ->
+          if pid' = pid then pending.(u) <- pending.(u) + 1);
+      if pending.(u) = 0 then mark u
+    end
+    else if class_accepted goal c then mark u
+  done;
+  while !sp > 0 do
+    decr sp;
+    let w = stack.(!sp) in
+    for i = idx.rev_offsets.(w) to idx.rev_offsets.(w + 1) - 1 do
+      let s = idx.rev_steps.(i) in
+      if s land 0xff = pid then begin
+        let u = s lsr 8 in
+        pending.(u) <- pending.(u) - 1;
+        if pending.(u) = 0 then mark u
+      end
+    done
+  done;
+  fun id -> Bytes.get good id = '\001'
 
 (* --- task checkers --------------------------------------------------- *)
 
@@ -204,7 +321,12 @@ let check_kset ?(max_states = Graph.default_max_states) ?domains ?budget
    - Termination (a): from every reachable node, p running solo halts
      (decides or aborts);
    - Termination (b): from every reachable node, every q != p running
-     solo decides. *)
+     solo decides.
+   The solo properties run on the graph ([solo_index]) whenever its
+   steps are the substrate's verbatim: no reduction, or an identity
+   group without commit pruning.  A symmetry quotient renames pids
+   along its steps and the ample rule prunes them, so there the solo
+   runs are re-stepped off the graph ([solo_halts]). *)
 let check_dac ?(max_states = Graph.default_max_states) ?domains ?budget
     ?(substrate = Substrate.shm) ?reduce ?resume ?spill ~machine ~specs ~inputs
     () =
@@ -216,84 +338,135 @@ let check_dac ?(max_states = Graph.default_max_states) ?domains ?budget
   let states = Graph.n_nodes graph in
   let stats = Graph.stats graph in
   let ( <|> ) a b = match a with None -> b () | Some _ -> a in
-    (* Safety at every node, stopping at the first violation. *)
-    let safety () =
-      Graph.find_map_node graph (fun id config ->
-          let of_result = function
-            | Ok () -> None
-            | Error v ->
-              Some (Fmt.str "node %d: %a" id Lbsa_protocols.Dac.pp_violation v)
-          in
-          of_result (Lbsa_protocols.Dac.check_agreement config)
-          <|> (fun () ->
-                of_result (Lbsa_protocols.Dac.check_validity ~inputs config))
-          <|> fun () -> of_result (Lbsa_protocols.Dac.check_aborts config))
+  (* Safety at every node, stopping at the first violation. *)
+  let safety () =
+    Graph.find_map_node graph (fun id config ->
+        let of_result = function
+          | Ok () -> None
+          | Error v ->
+            Some (Fmt.str "node %d: %a" id Lbsa_protocols.Dac.pp_violation v)
+        in
+        of_result (Lbsa_protocols.Dac.check_agreement config)
+        <|> (fun () ->
+              of_result (Lbsa_protocols.Dac.check_validity ~inputs config))
+        <|> fun () -> of_result (Lbsa_protocols.Dac.check_aborts config))
+  in
+  let nontrivial_msg = "nontriviality: p aborted in a p-solo run" in
+  let term_a id = Fmt.str "node %d: termination (a) fails for p" id in
+  let term_b id q = Fmt.str "node %d: termination (b) fails for q%d" id q in
+  (* On the graph: nontriviality is reachability over p-steps from the
+     initial node; termination reads one good-bitmap per pid, first
+     failing node and pid in the walk's order (p, then running q's
+     ascending). *)
+  let on_graph () =
+    let idx = solo_index graph in
+    let n = idx.procs in
+    let nontriviality () =
+      let seen = Bytes.make states '\000' in
+      let rec reach = function
+        | [] -> None
+        | u :: rest ->
+          if solo_class idx u p = aborted_class then Some nontrivial_msg
+          else begin
+            let rest = ref rest in
+            Graph.iter_out_steps graph u (fun pid w ->
+                if pid = p && Bytes.get seen w = '\000' then begin
+                  Bytes.set seen w '\001';
+                  rest := w :: !rest
+                end);
+            reach !rest
+          end
+      in
+      Bytes.set seen graph.initial '\001';
+      reach [ graph.initial ]
     in
-    (* Nontriviality: explore p-solo subgraph from the initial config. *)
+    let termination () =
+      let good =
+        Array.init n (fun pid ->
+            solo_good idx ~goal:(if pid = p then Halt else Decide) pid)
+      in
+      let running u pid = solo_class idx u pid = running_class in
+      let fails u =
+        if running u p && not (good.(p) u) then Some (term_a u)
+        else
+          let rec q_from q =
+            if q >= n then None
+            else if q <> p && running u q && not (good.(q) u) then
+              Some (term_b u q)
+            else q_from (q + 1)
+          in
+          q_from 0
+      in
+      let rec scan u =
+        if u >= states then None
+        else match fails u with Some _ as r -> r | None -> scan (u + 1)
+      in
+      scan 0
+    in
+    nontriviality () <|> termination
+  in
+  (* Off the graph, for reduced graphs. *)
+  let walk () =
     let nontriviality () =
       let exception Abort_found in
+      let seen = CH.create 64 in
       let rec p_solo config =
-        if config.Config.status.(p) = Config.Aborted then raise Abort_found
-        else if Config.is_running config p then
-          List.iter
-            (fun (c', _) -> p_solo c')
-            (substrate.Substrate.step_branches ~machine ~specs config p)
+        if not (CH.mem seen config) then begin
+          CH.replace seen config ();
+          if config.Config.status.(p) = Config.Aborted then raise Abort_found
+          else if Config.is_running config p then
+            List.iter
+              (fun (c', _) -> p_solo c')
+              (substrate.Substrate.step_branches ~machine ~specs config p)
+        end
       in
       match p_solo (Graph.node graph graph.initial) with
       | () -> None
-      | exception Abort_found -> Some "nontriviality: p aborted in a p-solo run"
+      | exception Abort_found -> Some nontrivial_msg
     in
-    (* Termination (a) and (b) from every node. *)
     let termination () =
-      let cache_a = solo_cache () in
-      let caches_b = Hashtbl.create 8 in
-      let accept_a = function
-        | Config.Decided _ | Config.Aborted -> true
-        | Config.Running | Config.Crashed -> false
-      in
-      let accept_b = function
-        | Config.Decided _ -> true
-        | Config.Running | Config.Aborted | Config.Crashed -> false
+      let caches = Hashtbl.create 8 in
+      let halts pid config =
+        let cache =
+          match Hashtbl.find_opt caches pid with
+          | Some c -> c
+          | None ->
+            let c = solo_cache () in
+            Hashtbl.replace caches pid c;
+            c
+        in
+        let goal = if pid = p then Halt else Decide in
+        solo_halts ~cache ~substrate ~machine ~specs ~pid
+          ~accept:(solo_accepts goal) config
       in
       Graph.find_map_node graph (fun id config ->
-          (if
-             Config.is_running config p
-             && not
-                  (solo_halts ~cache:cache_a ~substrate ~machine ~specs ~pid:p
-                     ~accept:accept_a config)
-           then Some (Fmt.str "node %d: termination (a) fails for p" id)
+          (if Config.is_running config p && not (halts p config) then
+             Some (term_a id)
            else None)
           <|> fun () ->
           List.find_map
             (fun q ->
-              if q = p then None
-              else
-                let cache =
-                  match Hashtbl.find_opt caches_b q with
-                  | Some c -> c
-                  | None ->
-                    let c = solo_cache () in
-                    Hashtbl.replace caches_b q c;
-                    c
-                in
-                if
-                  not
-                    (solo_halts ~cache ~substrate ~machine ~specs ~pid:q
-                       ~accept:accept_b config)
-                then Some (Fmt.str "node %d: termination (b) fails for q%d" id q)
-                else None)
+              if q <> p && not (halts q config) then Some (term_b id q)
+              else None)
             (Config.running config))
     in
-    match safety () with
-    | Some msg -> fail ~stats ~inputs ~states msg
-    | None ->
-      (* Nontriviality and termination explore solo runs off-graph;
-         they are only meaningful on a complete reachable set. *)
-      if graph.truncated then partial ~graph ~stats ~inputs ~states ()
-      else (
-        match nontriviality () <|> termination with
-        | Some msg -> fail ~stats ~inputs ~states msg
-        | None -> pass ~stats ~inputs ~states ())
+    nontriviality () <|> termination
+  in
+  let verbatim =
+    match reduce with
+    | None -> true
+    | Some r -> (not r.Graph.sleep) && Canon.is_identity r.Graph.canon
+  in
+  match safety () with
+  | Some msg -> fail ~stats ~inputs ~states msg
+  | None ->
+    (* Nontriviality and termination quantify over whole solo runs;
+       they are only meaningful on a complete reachable set. *)
+    if graph.truncated then partial ~graph ~stats ~inputs ~states ()
+    else (
+      match if verbatim then on_graph () else walk () with
+      | Some msg -> fail ~stats ~inputs ~states msg
+      | None -> pass ~stats ~inputs ~states ())
 
 (* --- counterexample witnesses ----------------------------------------- *)
 

@@ -34,6 +34,14 @@ val cycle_with_step_of : Graph.t -> comp:int array -> int -> int option
 
 val any_cycle : Graph.t -> int option
 
+(** {2 Solo termination} *)
+
+(** What a solo runner must halt in: [Decide] (n-DAC termination (b))
+    or [Halt], a decision or an abort (termination (a)). *)
+type solo_goal = Decide | Halt
+
+val solo_accepts : solo_goal -> Config.status -> bool
+
 type solo_cache
 
 val solo_cache : unit -> solo_cache
@@ -48,8 +56,27 @@ val solo_halts :
   Config.t ->
   bool
 (** Do all solo runs of [pid] from this configuration halt it with a
-    status satisfying [accept]? Explores every nondeterministic branch;
-    detects solo cycles. *)
+    status satisfying [accept]? Re-steps the substrate off the graph,
+    exploring every nondeterministic branch; detects solo cycles.
+    {!check_dac} uses it on reduced graphs only; it is the oracle of
+    {!solo_good}. *)
+
+type solo_index
+
+val solo_index : Graph.t -> solo_index
+(** The reverse of the graph's packed steps plus every node's per-pid
+    status class, each configuration read once.  Build it once per
+    graph and share it across {!solo_good} passes. *)
+
+val solo_good : solo_index -> goal:solo_goal -> int -> int -> bool
+(** [solo_good idx ~goal pid] answers, for every node id, whether all
+    pid-solo runs from it halt pid in a status [goal] accepts — one
+    O(V + E) least-fixpoint pass over the pid-labelled steps, so nodes
+    on or leading to a pid-only cycle are never good.  Equal to
+    [solo_halts ~accept:(solo_accepts goal)] on the node's
+    configuration when the graph is complete and holds the substrate's
+    steps verbatim: built with no reduction, or with an identity group
+    and no commit pruning. *)
 
 val check_consensus :
   ?max_states:int ->
@@ -106,7 +133,14 @@ val check_dac :
 (** The four n-DAC properties of Section 4, with the paper's weak
     termination: (a) p-solo runs halt p from every reachable node;
     (b) q-solo runs decide from every reachable node; nontriviality via
-    exhaustive p-solo exploration from the initial configuration. *)
+    exhaustive p-solo exploration from the initial configuration.  When
+    the graph holds the substrate's steps verbatim (no [reduce], or an
+    identity group without commit pruning) the solo properties are
+    passes over its steps ({!solo_good}, and reachability over p-steps
+    for nontriviality); under a symmetry quotient or commit pruning
+    they re-step the substrate with {!solo_halts}.  Both engines give
+    the same verdict; a p-only cycle reachable from the initial
+    configuration is reported as a termination (a) failure by both. *)
 
 (** {2 Counterexample witnesses} *)
 

@@ -500,7 +500,12 @@ let validate = function
   | Fuzz f ->
     ignore (Lbsa_fuzz.Targets.spec_target f.target);
     if f.trials < 1 then
-      invalid_arg (Fmt.str "fuzz trials must be >= 1, got %d" f.trials)
+      invalid_arg (Fmt.str "fuzz trials must be >= 1, got %d" f.trials);
+    (* No clients or no operations make every trial vacuously clean. *)
+    if f.procs < 1 then
+      invalid_arg (Fmt.str "fuzz procs must be >= 1, got %d" f.procs);
+    if f.ops < 1 then
+      invalid_arg (Fmt.str "fuzz ops must be >= 1, got %d" f.ops)
 
 let compute ?(budget = Supervisor.Budget.unlimited) ?(start = 0) q : computed =
   validate q;

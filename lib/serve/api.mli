@@ -213,8 +213,8 @@ val validate : query -> unit
 (** The checks {!compute} makes before it runs anything, without
     building the protocol.  Raises [Invalid_argument] on an unknown
     candidate, a substrate of the wrong family, an input vector of the
-    wrong arity, an unparsable fuzz target or fewer than one fuzz
-    trial. *)
+    wrong arity, an unparsable fuzz target, or fewer than one fuzz
+    trial, process or operation per process. *)
 
 type checked = {
   answer : result;

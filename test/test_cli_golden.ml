@@ -19,8 +19,9 @@ let exe =
 let golden_dir = Filename.concat "golden" "cli"
 
 (* Rows whose output differs from an earlier build, each with the
-   reason: the build before the task registry moved into [Api], or the
-   one before lin-check and universal became fuzz campaigns.  Every
+   reason: the build before the task registry moved into [Api], the
+   one before lin-check and universal became fuzz campaigns, or the one
+   before fuzz refused campaigns without clients or operations.  Every
    other row printed the same bytes and exit code before and after. *)
 let bugfix_rows =
   [
@@ -60,6 +61,12 @@ let bugfix_rows =
     ( "universal -n 0",
       "an unbuildable target is a usage error, exit 3 (was an uncaught \
        Invalid_argument, exit 125)" );
+    ( "fuzz --spec pac:2 --procs 0 --trials 5",
+      "a campaign with no clients is a usage error, exit 3 (was PASS over \
+       empty workloads, exit 0)" );
+    ( "fuzz --spec pac:2 --ops 0 --trials 5",
+      "a campaign with no operations is a usage error, exit 3 (was PASS, \
+       exit 0)" );
   ]
 
 let reduce_modes = [ "none"; "sym"; "sym+sleep" ]
@@ -107,6 +114,7 @@ let rows =
       "lin-check --impl snapshot -n 2 --trials 50";
       "lin-check --impl naive-snapshot -n 3 --trials 200 --seed 42";
       "universal -n 2 --trials 30";
+      "lin-check --impl pacnm -m 0";
     ]
   @ List.map fst bugfix_rows
 
@@ -190,6 +198,35 @@ let views =
     ("universal -n 2 --trials 30", "fuzz --impl universal:2 --trials 30");
   ]
 
+(* A refused size names the flag the user gave, not the fuzz target
+   description built from it.  Stderr is not part of the golden files,
+   so these pin the message. *)
+let refusals =
+  [
+    ("lin-check --impl pacnm -m 0", "lin-check: -m must be >= 1, got 0");
+    ( "lin-check --impl oprime --max-k 0",
+      "lin-check: --max-k must be >= 1, got 0" );
+    ("universal -n 0", "universal: -n must be >= 1, got 0");
+    ("fuzz --spec pac:2 --procs 0 --trials 5", "--procs must be >= 1, got 0");
+    ("fuzz --spec pac:2 --ops 0 --trials 5", "--ops must be >= 1, got 0");
+  ]
+
+let test_refusal (args, message) () =
+  if not (Sys.file_exists exe) then
+    Alcotest.failf "CLI executable not found at %s" exe;
+  let err = Filename.temp_file "lbsa_golden" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove err)
+    (fun () ->
+      let code =
+        Sys.command
+          (Fmt.str "%s %s > /dev/null 2> %s" (Filename.quote exe) args
+             (Filename.quote err))
+      in
+      Alcotest.(check int) (args ^ ": exit") 3 code;
+      Alcotest.(check string) (args ^ ": stderr") message
+        (List.hd (String.split_on_char '\n' (read_file err))))
+
 let test_view (view, fuzz) () =
   if not (Sys.file_exists exe) then
     Alcotest.failf "CLI executable not found at %s" exe;
@@ -207,4 +244,9 @@ let () =
           (fun ((view, _) as pair) ->
             Alcotest.test_case view `Quick (test_view pair))
           views );
+      ( "refusals",
+        List.map
+          (fun ((args, _) as pair) ->
+            Alcotest.test_case args `Quick (test_refusal pair))
+          refusals );
     ]

@@ -48,6 +48,25 @@ let test_malformed_descriptions_refused () =
       "bogus";
     ]
 
+(* A campaign with no clients or no operations would pass every trial
+   vacuously; the query layer refuses it before running anything. *)
+let test_vacuous_campaigns_refused () =
+  List.iter
+    (fun (procs, ops) ->
+      let q =
+        Serve_api.Fuzz { target = "pac:2"; trials = 5; procs; ops; seed = 1 }
+      in
+      List.iter
+        (fun (what, run) ->
+          match run q with
+          | () -> Alcotest.failf "%s accepted procs=%d ops=%d" what procs ops
+          | exception Invalid_argument _ -> ())
+        [
+          ("validate", Serve_api.validate);
+          ("compute", fun q -> ignore (Serve_api.compute q));
+        ])
+    [ (0, 4); (3, 0); (-1, 4); (3, -2) ]
+
 let test_fan_deterministic_across_domains () =
   (* The first failing trial index — and the completed prefix, which
      ends at it — is a pure function of the predicate, never of the
@@ -203,6 +222,8 @@ let () =
             test_identity_targets_clean;
           Alcotest.test_case "malformed descriptions refused" `Quick
             test_malformed_descriptions_refused;
+          Alcotest.test_case "vacuous campaigns refused" `Quick
+            test_vacuous_campaigns_refused;
         ] );
       ( "engine",
         [

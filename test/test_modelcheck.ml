@@ -789,6 +789,174 @@ let test_solo_halts_primitive () =
   Alcotest.(check bool) "Algorithm 2: q1 solo decides" true
     (Solvability.solo_halts ~machine ~specs ~pid:1 ~accept c)
 
+(* --- solo termination: the on-graph pass against the off-graph walk ---- *)
+
+(* A 2-DAC "protocol" in which p0 re-reads a register forever and q1
+   decides its input at once: p0 spins solo from the initial
+   configuration, which nontriviality must not diverge on. *)
+let p_spins =
+  let machine =
+    Machine.make ~name:"p-spins"
+      ~init:(fun ~pid:_ ~input -> input)
+      ~delta:(fun ~pid state ->
+        if pid = Dac.distinguished then
+          Machine.invoke 0 Register.read (fun _ -> state)
+        else Machine.Decide state)
+  in
+  (machine, [| Register.spec () |])
+
+let reductions ~canon ~frozen =
+  [
+    Cgraph.no_reduction;
+    { Cgraph.rname = "sym"; canon; sleep = false; frozen = None };
+    { Cgraph.rname = "sym+sleep"; canon; sleep = true; frozen };
+  ]
+
+let test_p_spinning_solo_fails_termination_a () =
+  let machine, specs = p_spins in
+  let inputs = [| Value.int 1; Value.int 0 |] in
+  List.iter
+    (fun reduce ->
+      let v = Solvability.check_dac ~reduce ~machine ~specs ~inputs () in
+      let got = Fmt.str "%a" Solvability.pp_verdict v in
+      (* Commit pruning flushes q's poised decision into the initial
+         node itself, so sym+sleep counts one state. *)
+      let states = if reduce.Cgraph.sleep then 1 else 2 in
+      Alcotest.(check string) reduce.Cgraph.rname
+        (Fmt.str
+           "FAIL (inputs=1,0, %d states): node 0: termination (a) fails for p"
+           states)
+        got)
+    (reductions ~canon:Canon.identity ~frozen:None)
+
+(* Every node's on-graph answer, for every pid and both goals, equals
+   the walk's ([solo_halts] with a fresh cache) on its configuration.
+   Returns how many (node, pid, goal) triples were not good, so callers
+   can require that the set exercises failing solo runs too. *)
+let check_solo_pass_matches_walk label ~machine ~specs ~inputs =
+  let graph = Cgraph.build ~machine ~specs ~inputs () in
+  let idx = Solvability.solo_index graph in
+  let bad = ref 0 in
+  List.iter
+    (fun (goal, gname) ->
+      for pid = 0 to Array.length inputs - 1 do
+        let good = Solvability.solo_good idx ~goal pid in
+        let cache = Solvability.solo_cache () in
+        let accept = Solvability.solo_accepts goal in
+        Cgraph.iter_nodes
+          (fun id config ->
+            let want = Solvability.solo_halts ~cache ~machine ~specs ~pid ~accept config in
+            if good id <> want then
+              Alcotest.failf "%s: node %d, p%d, goal %s: graph %b, walk %b" label
+                id pid gname (good id) want;
+            if not want then incr bad)
+          graph
+      done)
+    [ (Solvability.Halt, "halt"); (Solvability.Decide, "decide") ];
+  !bad
+
+(* The DAC instances both engines are compared on, built by the task
+   registry (so with the symmetry group and frozen objects the CLI's
+   reduce modes use): dac:3 and dac:4 over every binary vector, two dac:5
+   vectors, and the two 3-DAC candidates over every binary vector. *)
+let dac_sets () =
+  let ends l = List.filteri (fun i _ -> i = 0 || i = List.length l - 1) l in
+  List.map
+    (fun (task, family) ->
+      (Serve_api.task_label task, Serve_api.instance task, family))
+    [
+      (Serve_api.Dac { n = 3 }, Dac.binary_inputs 3);
+      (Serve_api.Dac { n = 4 }, Dac.binary_inputs 4);
+      (Serve_api.Dac { n = 5 }, ends (Dac.binary_inputs 5));
+      (Serve_api.Candidate { name = "3dac-sa2-then-cons2" }, Dac.binary_inputs 3);
+      (Serve_api.Candidate { name = "3dac-cons2-announce" }, Dac.binary_inputs 3);
+    ]
+
+let test_solo_pass_matches_walk () =
+  let bad = ref 0 in
+  let check label ~machine ~specs ~inputs =
+    bad := !bad + check_solo_pass_matches_walk label ~machine ~specs ~inputs
+  in
+  List.iter
+    (fun (label, { Serve_api.machine; specs; _ }, family) ->
+      List.iter (fun inputs -> check label ~machine ~specs ~inputs) family)
+    (dac_sets ());
+  check "p-spins" ~machine:(fst p_spins) ~specs:(snd p_spins)
+    ~inputs:[| Value.int 1; Value.int 0 |];
+  (* The safe-agreement graph of test_protocols: a process inside its
+     unsafe zone blocks the others' solo runs. *)
+  let n = 2 in
+  check "safe-agreement" ~machine:(Safe_agreement.machine ~n)
+    ~specs:(Safe_agreement.specs ~n) ~inputs:(Kset_task.distinct_inputs n);
+  Alcotest.(check bool) "the set includes failing solo runs" true (!bad > 0)
+
+(* Unreduced, the solo properties read the graph: check_dac steps the
+   substrate exactly as often as the build it runs. *)
+let test_unreduced_dac_check_steps_only_in_build () =
+  let calls = Atomic.make 0 in
+  let substrate =
+    {
+      Substrate.shm with
+      step_branches =
+        (fun ~machine ~specs config pid ->
+          Atomic.incr calls;
+          Substrate.shm.Substrate.step_branches ~machine ~specs config pid);
+    }
+  in
+  let count f =
+    Atomic.set calls 0;
+    ignore (f ());
+    Atomic.get calls
+  in
+  List.iter
+    (fun (label, { Serve_api.machine; specs; _ }, family) ->
+      List.iter
+        (fun inputs ->
+          let built =
+            count (fun () -> Cgraph.build ~substrate ~machine ~specs ~inputs ())
+          in
+          let checked =
+            count (fun () ->
+                Solvability.check_dac ~substrate ~machine ~specs ~inputs ())
+          in
+          Alcotest.(check int) (label ^ ": steps beyond the build") built checked)
+        family)
+    (dac_sets ())
+
+(* The verdict, with node ids dropped from the failure reason: node ids
+   differ across reduce modes, the verdict does not. *)
+let verdict_gist (v : Solvability.verdict) =
+  let strip msg =
+    match String.index_opt msg ':' with
+    | Some i when String.starts_with ~prefix:"node " msg ->
+      String.sub msg (i + 2) (String.length msg - i - 2)
+    | _ -> msg
+  in
+  (v.Solvability.ok, Option.map strip v.Solvability.failure)
+
+let test_dac_verdicts_agree_across_engines () =
+  List.iter
+    (fun (label, { Serve_api.machine; specs; canon; frozen; _ }, family) ->
+      List.iter
+        (fun inputs ->
+          let gist reduce =
+            verdict_gist (Solvability.check_dac ~reduce ~machine ~specs ~inputs ())
+          in
+          let want = gist Cgraph.no_reduction in
+          List.iter
+            (fun reduce ->
+              let got = gist reduce in
+              if got <> want then
+                Alcotest.failf "%s %a under %s: %b %s, unreduced %b %s" label
+                  Fmt.(array ~sep:(any ",") Value.pp)
+                  inputs reduce.Cgraph.rname (fst got)
+                  (Option.value (snd got) ~default:"-")
+                  (fst want)
+                  (Option.value (snd want) ~default:"-"))
+            (reductions ~canon ~frozen))
+        family)
+    (dac_sets ())
+
 let () =
   Alcotest.run "modelcheck"
     [
@@ -862,6 +1030,14 @@ let () =
             test_candidates_fail_exhaustive;
           Alcotest.test_case "solo_halts primitive" `Quick
             test_solo_halts_primitive;
+          Alcotest.test_case "p spinning solo fails termination (a)" `Quick
+            test_p_spinning_solo_fails_termination_a;
+          Alcotest.test_case "on-graph solo pass matches the walk" `Quick
+            test_solo_pass_matches_walk;
+          Alcotest.test_case "unreduced DAC check steps only in the build"
+            `Quick test_unreduced_dac_check_steps_only_in_build;
+          Alcotest.test_case "DAC verdicts agree across reduce modes" `Quick
+            test_dac_verdicts_agree_across_engines;
           Alcotest.test_case "witness schedule replays" `Quick
             test_witness_schedule_replays;
           Alcotest.test_case "DAC witness" `Quick test_dac_witness;

@@ -747,8 +747,8 @@ let test_ping_stats_and_bad_query () =
 (* A query [compute] would refuse is answered with its plain error on
    the spot: never queued, never retried. *)
 let test_refused_queries_never_queue () =
-  let fuzz ~target ~trials =
-    Serve_api.Fuzz { target; trials; procs = 3; ops = 3; seed = 42 }
+  let fuzz ?(procs = 3) ?(ops = 3) ~target ~trials () =
+    Serve_api.Fuzz { target; trials; procs; ops; seed = 42 }
   in
   let dir = fresh_dir () in
   Fun.protect
@@ -774,8 +774,13 @@ let test_refused_queries_never_queue () =
                   [
                     ( verify ~inputs:[ 1; 0 ] (Serve_api.Dac { n = 3 }),
                       "expects 3 inputs" );
-                    (fuzz ~target:"pac:x" ~trials:10, "pac:x");
-                    (fuzz ~target:"pac:2" ~trials:0, "trials must be >= 1");
+                    (fuzz ~target:"pac:x" ~trials:10 (), "pac:x");
+                    (fuzz ~target:"pac:2" ~trials:0 (), "trials must be >= 1");
+                    (* vacuous campaigns: no clients, no operations *)
+                    ( fuzz ~procs:0 ~target:"pac:2" ~trials:5 (),
+                      "procs must be >= 1" );
+                    ( fuzz ~ops:0 ~target:"pac:2" ~trials:5 (),
+                      "ops must be >= 1" );
                   ]))
       in
       Alcotest.(check int) "nothing computed" 0 stats.Serve_wire.st_computed;
